@@ -1,5 +1,6 @@
 #include "daemon_ops.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -80,6 +81,14 @@ std::vector<Request> poisson_arrivals(double rate_rps, double duration_s,
     out[i].branch = static_cast<int>(rng.next_int(0, branches - 1));
     out[i].arrival_us = times[i];
   }
+  return out;
+}
+
+std::vector<Request> burst_arrivals(std::int64_t count, std::uint64_t seed,
+                                    int branches) {
+  std::vector<Request> out =
+      poisson_arrivals(static_cast<double>(count), 1.0, seed, branches);
+  for (Request& r : out) r.arrival_us = 0;
   return out;
 }
 
@@ -226,8 +235,14 @@ StepResult LiveDaemon::run_step(const std::vector<Request>& arrivals,
       break;
     }
     if (t_ms > end_ms + grace_ms) break;
-    // No sleeping: the client busy-polls, so its own wake-up latency never
-    // adds to a measured reply time.
+    // A paced step busy-polls, so the client's own wake-up latency never
+    // adds to a measured reply time. Once a burst is sent, the client
+    // sleeps until the socket is ready instead of spinning on it.
+    if (duration_s == 0 && next == n) {
+      pollfd pfd{fd_, static_cast<short>(POLLIN | (out.empty() ? 0 : POLLOUT)),
+                 0};
+      ::poll(&pfd, 1, static_cast<int>(end_ms + grace_ms - t_ms) + 1);
+    }
   }
   next_id_ = first_id + static_cast<std::int64_t>(next);
   step.sent = static_cast<std::int64_t>(next);

@@ -28,32 +28,39 @@ std::vector<double> synthetic_latencies(std::uint64_t seed) {
 }  // namespace
 
 bool ReplayPairs::run(const ServiceModel& service, const ServeSpec& spec,
-                      Report& report) {
+                      const std::string& work_dir, Report& report) {
   const std::int64_t target = spec.workload.target_requests;
-  const SteadyTime t0 = now();
-  auto library = simulate_fleet(service, spec);
-  library_ms.push_back(ms_between(t0, now()));
-  EngineReplay driven = drive_fleet_engine(service, spec, latencies.empty());
+  StatusOr<ServingStats> library = Status::internal("not run");
+  EngineReplay driven;
+  if (spec.fleet.latency_mode == LatencyMode::kSketch) {
+    StreamOp op = run_stream_op(service, spec, work_dir, report);
+    if (!op.ok) return false;
+    library_ms.push_back(op.wall_ms);
+    checkpoint_merge_ms.push_back(op.merge_ms);
+    library = std::move(op.merged);
+    driven = drive_fleet_stream(service, spec);
+  } else {
+    const SteadyTime t0 = now();
+    library = simulate_fleet(service, spec);
+    library_ms.push_back(ms_between(t0, now()));
+    driven = drive_fleet_engine(service, spec, latencies.empty());
+  }
   driven_ms.push_back(driven.wall_ms);
-  if (!check_replay(library, target, "simulate_fleet", report) ||
+  if (!check_replay(library, target, "library replay", report) ||
       !check_replay(driven.stats, target, "driven FleetEngine replay",
                     report)) {
     return false;
   }
   if (!report.check(same_stats(*library, *driven.stats),
-                    "driven FleetEngine loop differs from simulate_fleet")) {
+                    "driven FleetEngine loop differs from the library replay")) {
     return false;
   }
   ++pairs;
   generate_ms += driven.generate_ms;
-  partition_ms += driven.partition_ms;
-  shards_ms += driven.shards_ms;
   merge_ms += driven.merge_ms;
+  covered_ms += driven.covered_ms();
   wall_ms += driven.wall_ms;
-  times.enqueue_ns += driven.times.enqueue_ns;
-  times.dispatch_ns += driven.times.dispatch_ns;
-  times.advance_ns += driven.times.advance_ns;
-  times.requests += driven.times.requests;
+  times.add(driven.times);
   fill_sum += driven.stats->mean_batch_fill;
   depth_sum += driven.stats->mean_queue_depth;
   scale_events += static_cast<double>(driven.stats->scale_up_events +
@@ -66,15 +73,23 @@ void ReplayPairs::emit(LayerTable& layers) const {
   if (pairs == 0 || times.requests == 0) return;
   const double requests = static_cast<double>(times.requests);
   const double n = pairs;
-  layers.set("serving.workload.generate_ns_per_req",
-             generate_ms * 1e6 / requests);
+  if (generate_ms > 0) {
+    layers.set("serving.workload.generate_ns_per_req",
+               generate_ms * 1e6 / requests);
+  }
+  if (times.pulled > 0) {
+    layers.set("serving.stream.next_ns_per_req",
+               times.stream_ns / static_cast<double>(times.pulled));
+  }
+  if (!checkpoint_merge_ms.empty()) {
+    layers.set("serving.fleet.checkpoint_merge_ms", mean(checkpoint_merge_ms));
+  }
   layers.set("serving.engine.enqueue_ns_per_req", times.enqueue_ns / requests);
   layers.set("serving.engine.dispatch_ns_per_req",
              times.dispatch_ns / requests);
   layers.set("serving.engine.advance_ns_per_req", times.advance_ns / requests);
   layers.set("serving.fleet.merge_shard_stats_ms", merge_ms / n);
-  layers.set("serving.replay.span_coverage",
-             (generate_ms + partition_ms + shards_ms + merge_ms) / wall_ms);
+  layers.set("serving.replay.span_coverage", covered_ms / wall_ms);
   layers.set("serving.batch_fill_mean", fill_sum / n);
   layers.set("serving.queue_depth_mean", depth_sum / n);
   layers.set("serving.elastic.scale_events", scale_events / n);
@@ -117,7 +132,7 @@ void fill_missing_layers(const Args& args, const ServingDesign& design,
           service,
           exact_replay_spec(mix_seed(args.seed, 900 + i), kProbeRequests,
                             threads),
-          report));
+          args.work_dir, report));
     }
     LayerTable probe;
     pairs.emit(probe);

@@ -15,28 +15,32 @@ namespace perfbench {
 void fill_missing_layers(const Args& args, const ServingDesign& design,
                          LayerTable& layers, Report& report);
 
-/// Runs `n` pairs of (library call, benchmark-driven FleetEngine loop) on
-/// one exact replay spec each and records the engine, merge, summarize,
-/// coverage, parity and overhead metrics — the traced replay_exact
-/// operation, also used as a probe.
+/// Pairs of (library call, benchmark-driven FleetEngine loop) on one
+/// replay spec each, recording the engine, stream, merge, summarize,
+/// coverage, parity and overhead metrics — the traced replay operation,
+/// also used as a probe. An exact spec pairs simulate_fleet with
+/// drive_fleet_engine; a sketch spec pairs the two-process run_stream_op
+/// with drive_fleet_stream.
 struct ReplayPairs {
   std::vector<double> library_ms;
   std::vector<double> driven_ms;
+  std::vector<double> checkpoint_merge_ms;  ///< sketch specs only
   double generate_ms = 0;
-  double partition_ms = 0;
-  double shards_ms = 0;
   double merge_ms = 0;
+  double covered_ms = 0;
   double wall_ms = 0;
   EngineTimes times;
   double fill_sum = 0;
   double depth_sum = 0;
   double scale_events = 0;
-  std::vector<double> latencies;  ///< of the first driven replay
+  std::vector<double> latencies;  ///< of the first exact driven replay
   int pairs = 0;
 
   /// One pair on `spec`; false when a replay failed or parity broke.
+  /// Checkpoints of sketch specs go under `work_dir`.
   bool run(const fcad::serving::ServiceModel& service,
-           const fcad::serving::ServeSpec& spec, Report& report);
+           const fcad::serving::ServeSpec& spec, const std::string& work_dir,
+           Report& report);
   void emit(LayerTable& layers) const;
 };
 

@@ -14,6 +14,7 @@
 #include "serving/engine.hpp"
 #include "serving/scenario.hpp"
 #include "serving/stats.hpp"
+#include "serving/stream.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perfbench {
@@ -23,17 +24,85 @@ using namespace fcad;
 using namespace fcad::serving;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Seed of the driven streaming replay's sketches. It only binds sketches
+/// to one replay, so the driven stats compare equal to the library's.
+constexpr std::uint64_t kDrivenSketchSeed = 1;
 
-/// One shard of the driven replay: the loop of fleet.cpp's run_shard, with
-/// every engine call timed.
+/// Where a driven shard's arrivals come from, in arrival order.
+class ShardSource {
+ public:
+  virtual ~ShardSource() = default;
+  /// Next arrival without consuming it; nullptr once exhausted.
+  virtual const Request* peek() = 0;
+  virtual void pop() = 0;
+};
+
+/// A shard's slice of a materialized workload.
+class SliceSource final : public ShardSource {
+ public:
+  explicit SliceSource(const std::vector<Request>& requests)
+      : requests_(requests) {}
+  const Request* peek() override {
+    return next_ < requests_.size() ? &requests_[next_] : nullptr;
+  }
+  void pop() override { ++next_; }
+
+ private:
+  const std::vector<Request>& requests_;
+  std::size_t next_ = 0;
+};
+
+/// The full request stream filtered to `user % shards == shard`, as the
+/// library's streaming replay reads it. Each refill of the one-request
+/// buffer (the RequestStream::next calls up to the shard's next user) is
+/// timed into `times` as one span.
+class StreamSource final : public ShardSource {
+ public:
+  StreamSource(RequestStream& stream, int shard, int shards,
+               EngineTimes& times)
+      : stream_(stream), shard_(shard), shards_(shards), times_(times) {}
+  const Request* peek() override {
+    if (buffered_) return &*buffered_;
+    if (ended_) return nullptr;
+    const SteadyTime a = now();
+    while (!buffered_) {
+      std::optional<Request> r = stream_.next();
+      if (!r) {
+        ended_ = true;
+        break;
+      }
+      ++times_.pulled;
+      if (r->user % shards_ == shard_) buffered_ = *r;
+    }
+    times_.stream_ns += ns_between(a, now());
+    return buffered_ ? &*buffered_ : nullptr;
+  }
+  void pop() override { buffered_.reset(); }
+
+ private:
+  RequestStream& stream_;
+  int shard_;
+  int shards_;
+  EngineTimes& times_;
+  std::optional<Request> buffered_;
+  bool ended_ = false;
+};
+
+/// One shard of a driven replay: the loop of fleet.cpp's run_shard, with
+/// every engine call timed. The timed sections abut, so what they leave
+/// out of the shard's loop is the elastic tick and the loop's own control.
 StatusOr<ShardStats> drive_shard(const ServiceModel& service,
-                                 const std::vector<Request>& requests,
+                                 ShardSource& source,
+                                 std::int64_t expected_requests,
                                  int shard_index, const ElasticSpec& elastic,
                                  const ShardElasticPlan& plan,
                                  const FleetOptions& options,
-                                 EngineTimes& times) {
-  const std::unique_ptr<Clock> clock = make_clock(
-      options.clock, requests.empty() ? 0 : requests.front().arrival_us);
+                                 std::uint64_t sketch_seed,
+                                 EngineTimes& times, ShardSpan& span) {
+  span.start = now();
+  const Request* first = source.peek();
+  const std::unique_ptr<Clock> clock =
+      make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
   FleetEngineConfig config;
   config.policy = options.policy;
   config.batch_timeout_us = options.batch_timeout_us;
@@ -46,8 +115,9 @@ StatusOr<ShardStats> drive_shard(const ServiceModel& service,
   config.instances = plan.provisioned;
   config.initial_active = plan.initial_active;
   config.max_cells = elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = static_cast<std::int64_t>(requests.size());
+  config.expected_requests = expected_requests;
   config.latency_mode = options.latency_mode;
+  config.sketch_seed = sketch_seed;
   FleetEngine engine(service, config, clock.get());
   std::optional<ElasticController> controller;
   if (elastic.enabled() || !plan.faults.empty()) {
@@ -55,37 +125,97 @@ StatusOr<ShardStats> drive_shard(const ServiceModel& service,
     engine.set_controller(&*controller);
   }
 
-  std::size_t next = 0;
-  const std::size_t n = requests.size();
+  SteadyTime a = now();
   while (true) {
-    const SteadyTime a = now();
-    while (next < n && requests[next].arrival_us <= engine.now_us()) {
-      engine.enqueue(requests[next]);
-      ++next;
+    const double pulled_ns = times.stream_ns;
+    while (const Request* r = source.peek()) {
+      if (r->arrival_us > engine.now_us()) break;
+      engine.enqueue(*r);
+      source.pop();
     }
-    if (next == n) engine.close();
+    const Request* upcoming = source.peek();
+    if (upcoming == nullptr) engine.close();
     const SteadyTime b = now();
     if (controller) controller->tick(engine, engine.now_us());
     const SteadyTime c = now();  // the elastic tick is not an engine call
     engine.dispatch_ready();
     const SteadyTime d = now();
+    times.enqueue_ns += ns_between(a, b) - (times.stream_ns - pulled_ns);
+    times.dispatch_ns += ns_between(c, d);
     double t_us = engine.next_event_us();
-    if (next < n) t_us = std::min(t_us, requests[next].arrival_us);
+    if (upcoming != nullptr) t_us = std::min(t_us, upcoming->arrival_us);
     if (controller) {
       t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
     }
-    if ((next == n && engine.drained()) || t_us == kInf) break;
+    if ((upcoming == nullptr && engine.drained()) || t_us == kInf) break;
     if (!(t_us > engine.now_us())) {
       return Status::internal("driven replay: virtual time did not advance");
     }
     engine.advance_to(t_us);
     const SteadyTime e = now();
-    times.enqueue_ns += ns_between(a, b);
-    times.dispatch_ns += ns_between(c, d);
     times.advance_ns += ns_between(d, e);
+    a = e;
   }
-  times.requests += static_cast<std::int64_t>(n);
-  return engine.take_stats();
+  ShardStats stats = engine.take_stats();
+  span.end = now();
+  times.loop_ns += ns_between(span.start, span.end);
+  times.requests += stats.offered;
+  return stats;
+}
+
+/// Length of the union of the shard loops' intervals, ms: the time in
+/// which at least one shard ran.
+double busy_ms(std::vector<ShardSpan> spans) {
+  std::sort(spans.begin(), spans.end(),
+            [](const ShardSpan& x, const ShardSpan& y) {
+              return x.start < y.start;
+            });
+  double total = 0;
+  std::optional<ShardSpan> run;
+  for (const ShardSpan& s : spans) {
+    if (run && s.start <= run->end) {
+      run->end = std::max(run->end, s.end);
+      continue;
+    }
+    if (run) total += ms_between(run->start, run->end);
+    run = s;
+  }
+  if (run) total += ms_between(run->start, run->end);
+  return total;
+}
+
+/// Sums the per-shard timings into `out` and merges the shards as the
+/// library does; the replay started at `t0`.
+void finish_driven(std::vector<StatusOr<ShardStats>>& slots,
+                   const std::vector<EngineTimes>& times,
+                   const std::vector<ShardSpan>& spans,
+                   const ServiceModel& service, const FleetOptions& options,
+                   int provisioned, int resumed, bool keep_latencies,
+                   SteadyTime t0, EngineReplay& out) {
+  std::vector<ShardStats> shards;
+  for (StatusOr<ShardStats>& slot : slots) {
+    if (!slot.is_ok()) {
+      out.stats = slot.status();
+      return;
+    }
+    shards.push_back(std::move(slot).value());
+  }
+  for (const EngineTimes& t : times) out.times.add(t);
+  const SteadyTime t4 = now();
+  if (keep_latencies) {
+    for (const ShardStats& shard : shards) {
+      out.latencies.insert(out.latencies.end(), shard.latencies.begin(),
+                           shard.latencies.end());
+    }
+  }
+  const SteadyTime t5 = now();
+  out.stats = merge_shard_stats(std::move(shards), service,
+                                options.sla_bound_us, provisioned, resumed);
+  const SteadyTime t6 = now();
+  out.busy_ms = busy_ms(spans);
+  out.merge_ms = ms_between(t5, t6);
+  // The latency copy is the benchmark's own work, not the replay's.
+  out.wall_ms = ms_between(t0, t6) - ms_between(t4, t5);
 }
 
 }  // namespace
@@ -159,7 +289,6 @@ EngineReplay drive_fleet_engine(const ServiceModel& service,
   }
   const FleetOptions& options = *options_or;
   if (options.latency_mode != LatencyMode::kExact) {
-    // Sketch seeds derive from the library's private replay fingerprint.
     out.stats = Status::invalid_argument("driven replay: exact mode only");
     return out;
   }
@@ -188,50 +317,81 @@ EngineReplay drive_fleet_engine(const ServiceModel& service,
   }
   const SteadyTime t2 = now();
 
-  std::vector<StatusOr<ShardStats>> slots(
-      static_cast<std::size_t>(num_shards), Status::internal("not run"));
-  std::vector<EngineTimes> times(static_cast<std::size_t>(num_shards));
+  const auto n = static_cast<std::size_t>(num_shards);
+  std::vector<StatusOr<ShardStats>> slots(n, Status::internal("not run"));
+  std::vector<EngineTimes> times(n);
+  std::vector<ShardSpan> spans(n);
   util::ThreadPool::shared(options.threads)
       .parallel_for(num_shards, [&](std::int64_t s) {
         const auto i = static_cast<std::size_t>(s);
-        slots[i] = drive_shard(service, shard_requests[i], static_cast<int>(s),
-                               spec.elastic, (*plans)[i], options, times[i]);
+        SliceSource source(shard_requests[i]);
+        slots[i] = drive_shard(
+            service, source, static_cast<std::int64_t>(shard_requests[i].size()),
+            static_cast<int>(s), spec.elastic, (*plans)[i], options, 0,
+            times[i], spans[i]);
       });
-  const SteadyTime t3 = now();
-
-  std::vector<ShardStats> shards;
-  for (StatusOr<ShardStats>& slot : slots) {
-    if (!slot.is_ok()) {
-      out.stats = slot.status();
-      return out;
-    }
-    shards.push_back(std::move(slot).value());
-  }
-  for (const EngineTimes& t : times) {
-    out.times.enqueue_ns += t.enqueue_ns;
-    out.times.dispatch_ns += t.dispatch_ns;
-    out.times.advance_ns += t.advance_ns;
-    out.times.requests += t.requests;
-  }
-  const int provisioned =
-      plans->back().first_instance + plans->back().provisioned;
-  const SteadyTime t4 = now();
-  if (keep_latencies) {
-    for (const ShardStats& shard : shards) {
-      out.latencies.insert(out.latencies.end(), shard.latencies.begin(),
-                           shard.latencies.end());
-    }
-  }
-  const SteadyTime t5 = now();
-  out.stats = merge_shard_stats(std::move(shards), service,
-                                options.sla_bound_us, provisioned, 0);
-  const SteadyTime t6 = now();
   out.generate_ms = ms_between(t0, t1);
   out.partition_ms = ms_between(t1, t2);
-  out.shards_ms = ms_between(t2, t3);
-  out.merge_ms = ms_between(t5, t6);
-  // The latency copy is the benchmark's own work, not the replay's.
-  out.wall_ms = ms_between(t0, t6) - ms_between(t4, t5);
+  const int provisioned =
+      plans->back().first_instance + plans->back().provisioned;
+  finish_driven(slots, times, spans, service, options, provisioned, 0,
+                keep_latencies, t0, out);
+  return out;
+}
+
+EngineReplay drive_fleet_stream(const ServiceModel& service,
+                                const ServeSpec& spec) {
+  EngineReplay out;
+  const SteadyTime t0 = now();
+  auto options_or = resolved_fleet_options(spec);
+  if (!options_or.is_ok()) {
+    out.stats = options_or.status();
+    return out;
+  }
+  const FleetOptions& options = *options_or;
+  WorkloadOptions workload = spec.workload;
+  workload.branches = service.num_branches();
+  const int num_shards = options.shards;
+  auto plans = plan_elastic_shards(spec.elastic, spec.scenario.faults,
+                                   options.instances, num_shards);
+  if (!plans.is_ok()) {
+    out.stats = plans.status();
+    return out;
+  }
+  const SteadyTime t2 = now();
+
+  const auto n = static_cast<std::size_t>(num_shards);
+  std::vector<StatusOr<ShardStats>> slots(n, Status::internal("not run"));
+  std::vector<EngineTimes> times(n);
+  std::vector<ShardSpan> spans(n);
+  const std::int64_t target = workload.target_requests;
+  const int processes = kStreamProcesses;
+  util::ThreadPool& pool = util::ThreadPool::shared(options.threads);
+  // One process's contiguous shard range after the other, each shard
+  // pulling its own full stream, as simulate_fleet_stream runs them.
+  for (int p = 0; p < processes; ++p) {
+    const int lo = p * num_shards / processes;
+    const int hi = (p + 1) * num_shards / processes;
+    pool.parallel_for(hi - lo, [&](std::int64_t i) {
+      const int s = lo + static_cast<int>(i);
+      const auto k = static_cast<std::size_t>(s);
+      auto stream = make_request_stream(workload, spec.scenario);
+      if (!stream.is_ok()) {
+        slots[k] = stream.status();
+        return;
+      }
+      StreamSource source(**stream, s, num_shards, times[k]);
+      slots[k] = drive_shard(service, source, target, s, spec.elastic,
+                             (*plans)[k], options, kDrivenSketchSeed, times[k],
+                             spans[k]);
+      if (Status fs = (*stream)->finish_status(); !fs.is_ok()) slots[k] = fs;
+    });
+  }
+  out.partition_ms = ms_between(t0, t2);
+  const int provisioned =
+      plans->back().first_instance + plans->back().provisioned;
+  finish_driven(slots, times, spans, service, options, provisioned,
+                num_shards, false, t0, out);
   return out;
 }
 
@@ -260,17 +420,17 @@ StreamOp run_stream_op(const ServiceModel& service, const ServeSpec& spec,
   StreamOp op;
   const std::int64_t target = spec.workload.target_requests;
   std::vector<std::string> paths;
-  for (int p = 0; p < 2; ++p) {
+  for (int p = 0; p < kStreamProcesses; ++p) {
     paths.push_back(work_dir + "/stream-p" + std::to_string(p) + ".ckpt");
     std::error_code ignored;
     std::filesystem::remove(paths.back(), ignored);
   }
   const SteadyTime t0 = now();
   std::int64_t per_process = 0;
-  for (int p = 0; p < 2; ++p) {
+  for (int p = 0; p < kStreamProcesses; ++p) {
     ServeSpec part = spec;
     part.fleet.process_index = p;
-    part.fleet.process_count = 2;
+    part.fleet.process_count = kStreamProcesses;
     part.fleet.checkpoint_path = paths[static_cast<std::size_t>(p)];
     auto stats = simulate_fleet_stream(service, part);
     if (!report.check(stats.is_ok(), "stream process " + std::to_string(p) +
@@ -282,7 +442,6 @@ StreamOp run_stream_op(const ServiceModel& service, const ServeSpec& spec,
   const SteadyTime t1 = now();
   auto merged = merge_replay_checkpoints(service, spec, paths);
   const SteadyTime t2 = now();
-  op.process_ms = ms_between(t0, t1);
   op.merge_ms = ms_between(t1, t2);
   op.wall_ms = ms_between(t0, t2);
   if (!check_replay(merged, target, "two-process merge", report)) return op;
