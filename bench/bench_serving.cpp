@@ -29,7 +29,7 @@
 //     swaps exact latency streams for mergeable quantile sketches (O(1)
 //     memory per shard, quantiles within 0.1% relative error), and
 //     --process-shard i/N splits the shard ranges across N independent
-//     processes whose binary v2 checkpoints --merge folds into stats
+//     processes whose binary v3 checkpoints --merge folds into stats
 //     bit-identical to the single-process run.
 //
 //   bench_serving --traffic-cache <dir>

@@ -6,12 +6,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <limits>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -22,144 +19,11 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "serving/elastic.hpp"
-#include "serving/engine.hpp"
+#include "serving/driver.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcad::serving {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Rolling-p99 admission gate over elastic.hpp's RollingP99Window (the same
-/// window the reshard trigger uses, so the two drift detectors can never
-/// diverge in percentile semantics). should_shed() is true once the window
-/// is full AND its lazily recomputed p99 exceeds the bound, so steady-state
-/// shedding costs O(1) per request.
-class AdmissionWindow {
- public:
-  AdmissionWindow(bool enabled, int window, double bound_us)
-      : enabled_(enabled && window > 0),
-        bound_us_(bound_us),
-        window_(enabled_ ? window : 1) {}
-
-  void record(double latency_us) {
-    if (enabled_) window_.add(latency_us);
-  }
-
-  bool should_shed() const {
-    return enabled_ && window_.full() && window_.p99() > bound_us_;
-  }
-
- private:
-  bool enabled_;
-  double bound_us_;
-  RollingP99Window window_;
-};
-
-/// One shard of the trace-driven daemon: the same event loop as fleet.cpp's
-/// run_shard, except every due arrival passes through the admission window
-/// before it may enqueue. With admission off the decision stream — and so
-/// every record, latency, and counter — is bit-identical to run_shard's.
-StatusOr<ShardStats> run_daemon_shard(const ServiceModel& service,
-                                      const std::vector<Request>& requests,
-                                      int shard_index,
-                                      const ElasticSpec& elastic,
-                                      const ShardElasticPlan& plan,
-                                      const FleetOptions& options,
-                                      const DaemonOptions& daemon,
-                                      std::int64_t* shed_out,
-                                      const util::RunScope* scope) {
-  const std::unique_ptr<Clock> clock = make_clock(
-      options.clock, requests.empty() ? 0 : requests.front().arrival_us);
-
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells =
-      elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = static_cast<std::int64_t>(requests.size());
-  FleetEngine engine(service, config, clock.get());
-
-  AdmissionWindow admission(
-      daemon.admission_enabled, daemon.admission_window,
-      daemon.admission_headroom * options.sla_bound_us);
-  engine.set_batch_hook(
-      [&admission](const Batch& batch, int, double, double finish_us) {
-        for (const Request& r : batch.requests) {
-          admission.record(finish_us - r.arrival_us);
-        }
-      });
-
-  std::optional<ElasticController> controller;
-  if (elastic.enabled() || !plan.faults.empty()) {
-    controller.emplace(elastic, plan, options.sla_bound_us);
-    engine.set_controller(&*controller);
-  }
-
-  std::int64_t shed = 0;
-  std::size_t next = 0;
-  while (true) {
-    if (scope != nullptr && scope->should_stop()) {
-      return Status::cancelled("daemon trace cancelled after " +
-                               std::to_string(engine.completed()) +
-                               " completions in shard " +
-                               std::to_string(shard_index));
-    }
-    while (next < requests.size() &&
-           requests[next].arrival_us <= engine.now_us()) {
-      // Grow before dropping: while scale-up headroom remains, admit and
-      // let the autoscaler absorb the drift; shedding engages only once the
-      // provisioned pool is exhausted (or no elastic policy exists).
-      if (admission.should_shed() &&
-          (!controller || !controller->can_scale_up())) {
-        ++shed;
-      } else {
-        engine.enqueue(requests[next]);
-      }
-      ++next;
-    }
-    if (next >= requests.size()) engine.close();
-
-    if (controller) controller->tick(engine, engine.now_us());
-    engine.dispatch_ready();
-
-    double t_us = engine.next_event_us();
-    if (next < requests.size()) {
-      t_us = std::min(t_us, requests[next].arrival_us);
-    }
-    if (controller) {
-      t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
-    }
-    // The controller's evaluation cadence stays finite after the trace is
-    // done, so termination keys on drained, not on running out of events
-    // (the two are equivalent without a controller).
-    if ((next >= requests.size() && engine.drained()) || t_us == kInf) break;
-    // Strict advance only holds for virtual time; a steady clock can
-    // legitimately overtake the event schedule between readings (see the
-    // matching guard in fleet.cpp run_shard).
-    if (options.clock == ClockKind::kVirtual) {
-      FCAD_CHECK_MSG(t_us > engine.now_us(),
-                     "daemon: trace time did not advance");
-    }
-    engine.advance_to(t_us);
-  }
-
-  ShardStats out = engine.take_stats();
-  FCAD_CHECK_MSG(out.completed == out.offered,
-                 "daemon: lost requests in flight");
-  *shed_out = shed;
-  return out;
-}
 
 /// One parsed unit of receiver -> serving-loop traffic.
 struct Incoming {
@@ -208,6 +72,136 @@ void close_fd(int& fd) {
   fd = -1;
 }
 
+/// The live feed behind serve(). The receiver thread delivers parsed
+/// lines; the serving loop collects them once per iteration (poll), stamps
+/// each request at the clock reading, and answers every line itself —
+/// "err" for malformed or out-of-range lines and for requests arriving
+/// while draining, "shed" for admission rejections, "ok" on dispatch. The
+/// feed ends only once shutdown was requested; until then an empty queue
+/// just means the loop sleeps until the receiver's wake().
+class LiveSource final : public RequestSource {
+ public:
+  LiveSource(Clock& clock, int num_branches, std::int64_t expected_requests)
+      : clock_(clock),
+        num_branches_(num_branches),
+        expected_requests_(expected_requests),
+        shed_counter_(obs::MetricsRegistry::global().counter(
+            "serving.daemon.shed_requests")) {}
+
+  /// Receiver side (any thread): queues `events` — and the shutdown
+  /// request when `stop` — then wakes the serving loop.
+  void deliver(const std::vector<Incoming>& events, bool stop) {
+    if (events.empty() && !stop) return;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      queue_.insert(queue_.end(), events.begin(), events.end());
+      stopping_ = stopping_ || stop;
+    }
+    clock_.wake();
+  }
+
+  void poll() override {
+    // Requests that arrive once the previous iteration closed the engine
+    // are answered "err draining".
+    draining_ = ended_;
+    batch_.clear();
+    next_ = 0;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    batch_.swap(queue_);
+    ended_ = stopping_;
+  }
+
+  const Request* peek() override {
+    for (; !current_ && next_ < batch_.size(); ++next_) {
+      const Incoming& in = batch_[next_];
+      if (in.disconnect) {
+        dead_fds_.insert(in.fd);
+      } else if (in.malformed) {
+        reply(in.fd, "err expected 'req <user> <branch>'\n");
+      } else if (draining_) {
+        reply(in.fd, "err draining\n");
+      } else if (in.branch < 0 || in.branch >= num_branches_) {
+        reply(in.fd, "err branch out of range\n");
+      } else {
+        Request r;
+        r.id = in.id;
+        r.user = in.user;
+        r.branch = in.branch;
+        r.arrival_us = clock_.now_us();
+        reply_fd_[r.id] = in.fd;
+        current_ = r;
+        return &*current_;
+      }
+    }
+    return current_ ? &*current_ : nullptr;
+  }
+
+  void pop() override {
+    current_.reset();
+    ++next_;
+  }
+
+  std::int64_t expected_requests() const override {
+    return expected_requests_;
+  }
+  bool ended() const override { return ended_; }
+
+  void on_dispatch(const Batch& batch, int instance,
+                   double finish_us) override {
+    for (const Request& r : batch.requests) {
+      const auto it = reply_fd_.find(r.id);
+      if (it == reply_fd_.end()) continue;
+      reply(it->second, "ok " + std::to_string(r.id) + " " +
+                            std::to_string(r.branch) + " " +
+                            std::to_string(instance) + " " +
+                            std::to_string(finish_us - r.arrival_us) + "\n");
+      reply_fd_.erase(it);
+    }
+  }
+
+  void on_shed(const Request& r) override {
+    shed_counter_.add(1);
+    const auto it = reply_fd_.find(r.id);
+    reply(it->second, "shed " + std::to_string(r.id) + "\n");
+    reply_fd_.erase(it);
+  }
+
+ private:
+  void reply(int fd, const std::string& line) {
+    // Disconnected fds stay open (and unused) until the drain finishes, so
+    // a late reply can never hit a recycled descriptor number.
+    if (fd < 0 || dead_fds_.count(fd) != 0) return;
+    // Best-effort: a peer that vanished mid-reply only loses its answer.
+    (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+  }
+
+  Clock& clock_;
+  int num_branches_;
+  std::int64_t expected_requests_;
+  obs::Counter& shed_counter_;
+  std::mutex mutex_;
+  std::vector<Incoming> queue_;  // guarded by mutex_
+  bool stopping_ = false;        // guarded by mutex_
+  // Serving-loop side.
+  std::vector<Incoming> batch_;
+  std::size_t next_ = 0;
+  std::optional<Request> current_;
+  bool ended_ = false;
+  bool draining_ = false;
+  std::unordered_map<std::int64_t, int> reply_fd_;
+  std::unordered_set<int> dead_fds_;
+};
+
+/// The shard hooks carrying this daemon's admission settings.
+ShardHooks admission_hooks(const DaemonOptions& options, double sla_bound_us) {
+  ShardHooks hooks;
+  if (options.admission_enabled) {
+    hooks.admission_window = options.admission_window;
+    hooks.admission_bound_us = options.admission_headroom * sla_bound_us;
+  }
+  return hooks;
+}
+
 }  // namespace
 
 Daemon::Daemon(ServiceModel service, ServeSpec spec, DaemonOptions options)
@@ -239,84 +233,26 @@ void Daemon::request_shutdown() {
 
 StatusOr<DaemonResult> Daemon::run_trace(const std::vector<Request>& trace,
                                          const util::RunScope* scope) const {
-  auto resolved = resolved_fleet_options(spec_);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
-  if (options.instances < 1) {
-    return Status::invalid_argument("daemon: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
+  auto options = resolved_fleet_options(spec_, &service_);
+  if (!options.is_ok()) return options.status();
+  // Shed decisions are not part of a checkpoint, so a resumed daemon replay
+  // could not be exact; process sharding is the streaming replay's.
+  if (!options->checkpoint_path.empty()) {
     return Status::invalid_argument(
-        "daemon: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
+        "daemon: run_trace does not checkpoint — clear checkpoint_path");
   }
-  if (service_.num_branches() < 1) {
-    return Status::invalid_argument("daemon: service model has no branches");
+  if (options->process_count != 1 || options->process_index != 0) {
+    return Status::invalid_argument(
+        "daemon: process sharding requires the streaming replay "
+        "(simulate_fleet_stream)");
   }
-  if (Status s = validate_scenario(spec_.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec_.elastic); !s.is_ok()) return s;
-  for (const Request& r : trace) {
-    if (r.branch < 0 || r.branch >= service_.num_branches()) {
-      return Status::invalid_argument("daemon: request branch out of range");
-    }
-  }
-
-  // Identical partition to simulate_fleet: stable arrival sort, user u ->
-  // shard u mod S, contiguous slices of the provisioned instance pool — the
-  // parity contract extends to sharded and elastic traces.
-  std::vector<Request> sorted = trace;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Request& a, const Request& b) {
-                     return a.arrival_us < b.arrival_us;
-                   });
-  const int num_shards = options.shards;
-  std::vector<std::vector<Request>> shard_requests(
-      static_cast<std::size_t>(num_shards));
-  for (const Request& r : sorted) {
-    shard_requests[static_cast<std::size_t>(r.user % num_shards)].push_back(
-        r);
-  }
-  auto plans_or = plan_elastic_shards(spec_.elastic, spec_.scenario.faults,
-                                      options.instances, num_shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  const std::vector<ShardElasticPlan>& plans = *plans_or;
-  const int provisioned_total =
-      plans.back().first_instance + plans.back().provisioned;
-
-  std::vector<ShardStats> shards(static_cast<std::size_t>(num_shards));
-  std::vector<std::int64_t> shard_shed(static_cast<std::size_t>(num_shards),
-                                       0);
-  std::vector<Status> shard_status(static_cast<std::size_t>(num_shards),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t s) {
-    const auto index = static_cast<std::size_t>(s);
-    auto result = run_daemon_shard(service_, shard_requests[index],
-                                   static_cast<int>(s), spec_.elastic,
-                                   plans[index], options, options_,
-                                   &shard_shed[index], scope);
-    if (!result.is_ok()) {
-      shard_status[index] = result.status();
-      return;
-    }
-    shards[index] = std::move(result).value();
-  };
-  if (num_shards == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(num_shards, run_one);
-  }
-
-  for (const Status& s : shard_status) {
-    if (!s.is_ok()) return s;
-  }
-
   DaemonResult result;
-  result.stats = merge_shard_stats(std::move(shards), service_,
-                                   options.sla_bound_us, provisioned_total,
-                                   0);
-  for (std::int64_t s : shard_shed) result.shed += s;
+  auto stats =
+      replay_trace(service_, trace, spec_, *options,
+                   admission_hooks(options_, options->sla_bound_us), scope,
+                   &result.shed);
+  if (!stats.is_ok()) return stats.status();
+  result.stats = std::move(stats).value();
   obs::MetricsRegistry::global()
       .counter("serving.daemon.shed_requests")
       .add(result.shed);
@@ -324,7 +260,7 @@ StatusOr<DaemonResult> Daemon::run_trace(const std::vector<Request>& trace,
 }
 
 StatusOr<DaemonResult> Daemon::serve() {
-  auto resolved = resolved_fleet_options(spec_);
+  auto resolved = resolved_fleet_options(spec_, &service_);
   if (!resolved.is_ok()) return resolved.status();
   const FleetOptions& options = *resolved;
   if (options.clock != ClockKind::kSteady) {
@@ -339,21 +275,11 @@ StatusOr<DaemonResult> Daemon::serve() {
         "shard instead of shards=" +
         std::to_string(options.shards));
   }
-  if (options.instances < 1) {
-    return Status::invalid_argument("daemon: instances must be >= 1");
-  }
-  if (service_.num_branches() < 1) {
-    return Status::invalid_argument("daemon: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec_.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec_.elastic); !s.is_ok()) return s;
   // Arrival shaping is meaningless live (the daemon serves whatever
   // arrives); the scenario's *fault schedule* does apply, in steady-clock
   // microseconds since serve() started.
-  auto plans_or = plan_elastic_shards(spec_.elastic, spec_.scenario.faults,
-                                      options.instances, 1);
-  if (!plans_or.is_ok()) return plans_or.status();
-  const ShardElasticPlan& plan = plans_or->front();
+  auto plan = plan_replay(spec_, options);
+  if (!plan.is_ok()) return plan.status();
   if (options_.socket_path.empty()) {
     return Status::invalid_argument("daemon: serve() needs a socket_path");
   }
@@ -386,38 +312,16 @@ StatusOr<DaemonResult> Daemon::serve() {
   }
 
   SteadyClock clock(0);
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells = spec_.elastic.reshard_enabled()
-                         ? spec_.elastic.reshard.max_cells
-                         : 1;
-  config.expected_requests = options_.expected_requests;
-  FleetEngine engine(service_, config, &clock);
-
-  std::optional<ElasticController> controller;
-  if (spec_.elastic.enabled() || !plan.faults.empty()) {
-    controller.emplace(spec_.elastic, plan, options.sla_bound_us);
-    engine.set_controller(&*controller);
-  }
+  LiveSource source(clock, service_.num_branches(),
+                    options_.expected_requests);
 
   // Receiver thread: owns poll() over the listen socket, the shutdown pipe,
-  // and every connection; parses lines into `queue` and wakes the serving
-  // loop. It never writes to or closes a client fd — the serving loop is
-  // the sole writer, and fds stay open until the drain finishes so a late
-  // reply can never race a recycled descriptor.
-  std::mutex queue_mutex;
-  std::vector<Incoming> queue;
-  std::vector<int> accepted_fds;  // guarded by queue_mutex; closed at exit
-  std::atomic<bool> stopping{false};
-  std::thread receiver([&] {
+  // and every connection; parses lines into the live source and wakes the
+  // serving loop. It never writes to or closes a client fd — the serving
+  // loop is the sole writer, and fds stay open until the drain finishes so
+  // a late reply can never race a recycled descriptor.
+  std::vector<int> accepted_fds;  // read only after the join; closed at exit
+  const auto receive = [&] {
     std::vector<pollfd> pfds;
     pfds.push_back({shutdown_pipe_[0], POLLIN, 0});
     pfds.push_back({listen_fd, POLLIN, 0});
@@ -436,7 +340,6 @@ StatusOr<DaemonResult> Daemon::serve() {
         if (fd >= 0) {
           pfds.push_back({fd, POLLIN, 0});
           buffers.emplace(fd, std::string());
-          const std::lock_guard<std::mutex> lock(queue_mutex);
           accepted_fds.push_back(fd);
         }
       }
@@ -458,118 +361,43 @@ StatusOr<DaemonResult> Daemon::serve() {
           pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(i));
         }
       }
-      if (!events.empty()) {
-        const std::lock_guard<std::mutex> lock(queue_mutex);
-        queue.insert(queue.end(), events.begin(), events.end());
-      }
-      if (stop) stopping.store(true, std::memory_order_release);
-      if (!events.empty() || stop) clock.wake();
+      source.deliver(events, stop);
     }
-    stopping.store(true, std::memory_order_release);
-    clock.wake();
-  });
-
-  std::unordered_map<std::int64_t, int> reply_fd;
-  std::unordered_set<int> dead_fds;
-  auto reply = [&](int fd, const std::string& line) {
-    // Disconnected fds stay open (and unused) until the drain finishes, so a
-    // late reply can never hit a recycled descriptor number.
-    if (fd < 0 || dead_fds.count(fd) != 0) return;
-    // Best-effort: a peer that vanished mid-reply only loses its answer.
-    (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+    source.deliver({}, true);
   };
 
-  AdmissionWindow admission(
-      options_.admission_enabled, options_.admission_window,
-      options_.admission_headroom * options.sla_bound_us);
-  obs::Counter& shed_counter =
-      obs::MetricsRegistry::global().counter("serving.daemon.shed_requests");
-  std::int64_t shed = 0;
-
-  engine.set_batch_hook([&](const Batch& batch, int instance, double,
-                            double finish_us) {
-    for (const Request& r : batch.requests) {
-      admission.record(finish_us - r.arrival_us);
-      const auto it = reply_fd.find(r.id);
-      if (it == reply_fd.end()) continue;
-      reply(it->second, "ok " + std::to_string(r.id) + " " +
-                            std::to_string(r.branch) + " " +
-                            std::to_string(instance) + " " +
-                            std::to_string(finish_us - r.arrival_us) + "\n");
-      reply_fd.erase(it);
-    }
-  });
-
-  bool closed = false;
-  while (true) {
-    std::vector<Incoming> events;
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex);
-      events.swap(queue);
-    }
-    for (const Incoming& in : events) {
-      if (in.disconnect) {
-        dead_fds.insert(in.fd);
-        continue;
-      }
-      if (in.malformed) {
-        reply(in.fd, "err expected 'req <user> <branch>'\n");
-        continue;
-      }
-      if (closed) {
-        reply(in.fd, "err draining\n");
-        continue;
-      }
-      if (in.branch < 0 || in.branch >= service_.num_branches()) {
-        reply(in.fd, "err branch out of range\n");
-        continue;
-      }
-      // Grow before dropping: with scale-up headroom left the request is
-      // admitted and the autoscaler absorbs the drift at its next tick.
-      if (admission.should_shed() &&
-          (!controller || !controller->can_scale_up())) {
-        ++shed;
-        shed_counter.add(1);
-        reply(in.fd, "shed " + std::to_string(in.id) + "\n");
-        continue;
-      }
-      Request r;
-      r.id = in.id;
-      r.user = in.user;
-      r.branch = in.branch;
-      r.arrival_us = engine.now_us();
-      reply_fd[r.id] = in.fd;
-      engine.enqueue(r);
-    }
-    if (stopping.load(std::memory_order_acquire) && !closed) {
-      engine.close();  // graceful drain: the batcher tail flushes on the
-      closed = true;   // timeout schedule and every straggler is answered
-    }
-    if (controller) controller->tick(engine, engine.now_us());
-    engine.dispatch_ready();
-    if (closed && engine.drained()) break;
-    // Sleep to the next engine or controller event (batching deadline /
-    // instance free / elastic boundary); +infinity waits for the receiver's
-    // wake. Early wakes just loop.
-    double t_us = engine.next_event_us();
-    if (controller) {
-      t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
-    }
-    engine.advance_to(t_us);
+  // The serving loop: the shared shard driver on the steady clock. It ends
+  // after shutdown, once every admitted request has been answered. The
+  // receiver starts once the engine is built — building it after the
+  // thread start held up a connecting client for the whole build. A
+  // failure in the loop still stops and joins the receiver before leaving.
+  std::thread receiver;
+  ShardHooks hooks = admission_hooks(options_, options.sla_bound_us);
+  hooks.on_start = [&] { receiver = std::thread(receive); };
+  StatusOr<ShardRun> run = Status::internal("daemon: serving loop failed");
+  std::exception_ptr failure;
+  try {
+    run = run_shard(service_, options, spec_.elastic, plan->plans.front(), 0,
+                    0, clock, source, hooks);
+  } catch (...) {
+    failure = std::current_exception();
+    if (receiver.joinable()) request_shutdown();
   }
 
-  receiver.join();
+  if (receiver.joinable()) receiver.join();
   for (int fd : accepted_fds) ::close(fd);
   close_fd(listen_fd);
   ::unlink(options_.socket_path.c_str());
+  if (failure) std::rethrow_exception(failure);
+  if (!run.is_ok()) return run.status();
 
   DaemonResult result;
   std::vector<ShardStats> shards;
-  shards.push_back(engine.take_stats());
+  shards.push_back(std::move(run->stats));
   result.stats = merge_shard_stats(std::move(shards), service_,
-                                   options.sla_bound_us, plan.provisioned,
-                                   0);
-  result.shed = shed;
+                                   options.sla_bound_us,
+                                   plan->provisioned_total, 0);
+  result.shed = run->shed;
   return result;
 }
 

@@ -3,13 +3,15 @@
 // a local-socket request server, with simple admission control when the
 // rolling p99 drifts toward the SLA bound and a graceful drain on shutdown.
 //
-// Two entry points over the same submit path:
+// Two entry points over the same submit path — the shard driver
+// (driver.hpp) every replay runs on, with the same spec validator:
 //
 //  - run_trace(): drives an arrival-stamped trace through the online engine
 //    under the spec's clock (usually VirtualClock). With admission control
 //    off this produces per-request decisions, latencies, and stats
-//    IDENTICAL to simulate_fleet on the same trace — the replay/live parity
-//    contract, pinned by tests/daemon_test.cpp and diffed in CI.
+//    IDENTICAL to simulate_fleet on the same trace, in either latency mode
+//    — the replay/live parity contract, pinned by tests/daemon_test.cpp
+//    and diffed in CI.
 //
 //  - serve(): listens on an AF_UNIX socket (SteadyClock required) and
 //    serves a line protocol:
@@ -75,14 +77,19 @@ class Daemon {
   /// admission control included — sharded and merged exactly like
   /// simulate_fleet (user u -> shard u mod S, index-ordered merge), each
   /// shard on its own clock of the spec's kind. Deterministic for any
-  /// thread count; cancellable via `scope` (StatusCode::kCancelled).
+  /// thread count; cancellable via `scope` (StatusCode::kCancelled), which
+  /// also receives simulate_fleet's progress ticks. Shed decisions are not
+  /// checkpointed, so a non-empty fleet.checkpoint_path or process sharding
+  /// is Status::invalid_argument.
   StatusOr<DaemonResult> run_trace(const std::vector<Request>& trace,
                                    const util::RunScope* scope = nullptr) const;
 
   /// Serves the socket until shutdown. Blocks; returns the session's final
   /// stats after the graceful drain. Requires options.socket_path,
   /// spec.clock == ClockKind::kSteady, and spec.fleet.shards == 1 (live
-  /// sharding is a daemon-per-shard deployment, not one process).
+  /// sharding is a daemon-per-shard deployment, not one process). With
+  /// fleet.latency_mode == kSketch the session's latency memory is bounded
+  /// (sketch pages instead of per-request streams).
   StatusOr<DaemonResult> serve();
 
   /// Initiates a graceful shutdown of a concurrent serve(): one write to an

@@ -1,5 +1,5 @@
-// The event-driven serving engine shared by the offline fleet replay
-// (fleet.cpp) and the online daemon (daemon.cpp): per-branch batch
+// The event-driven serving engine behind the one shard driver (driver.hpp)
+// that the offline fleet replay and the online daemon share: per-branch batch
 // aggregation, free-instance dispatch, and exact latency/SLA accounting for
 // one shard, all driven through an injected serving::Clock. Decisions are
 // functions of clock readings only, so the same trace produces identical
@@ -74,7 +74,8 @@ struct ShardStats {
 /// clock — the engine keeps the aggregation/dispatch/accounting state and
 /// never reads a time source other than the injected clock.
 ///
-/// The canonical loop (run_shard in fleet.cpp, Daemon::run_trace/serve):
+/// The canonical loop is run_shard in driver.cpp — the one driver every
+/// replay, daemon trace, and live session runs its shards through:
 ///   while (work remains) {
 ///     enqueue every arrival due by now_us();     // or shed at admission
 ///     close() after the last arrival;

@@ -1,100 +1,15 @@
 #include "serving/fleet.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <sstream>
 #include <utility>
 
-#include <cstring>
-
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "serving/engine.hpp"
+#include "serving/driver.hpp"
 #include "serving/stream.hpp"
-#include "util/format.hpp"
-#include "util/hash.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcad::serving {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr const char* kCheckpointMagic = "fcad-fleet-checkpoint v1";
-/// Binary checkpoint v2 leading/trailing magics (sketch-mode replays).
-constexpr char kBinaryMagic[8] = {'F', 'C', 'A', 'D', 'F', 'L', 'T', '2'};
-constexpr std::uint32_t kBinaryVersion = 2;
-constexpr std::uint32_t kBinaryTrailer = 0x32544c46;  // "FLT2"
-
-/// Progress plumbing shared by every shard: a global completion counter
-/// drives the ~20-tick cadence; the emitting shard supplies its local
-/// partial tail estimate.
-struct ProgressSink {
-  const util::RunScope* scope = nullptr;
-  std::int64_t offered = 0;
-  std::int64_t chunk = 0;
-  std::atomic<std::int64_t> completed{0};
-  std::atomic<std::int64_t> next_at{0};
-  std::atomic<std::int64_t> last_emitted{-1};
-  std::mutex mutex;
-
-  void emit(std::int64_t step, double partial_tail) {
-    scope->emit({"fleet",
-                 static_cast<int>(std::min<std::int64_t>(step, 1LL << 30)),
-                 static_cast<int>(std::min<std::int64_t>(offered, 1LL << 30)),
-                 partial_tail});
-    last_emitted.store(step, std::memory_order_relaxed);
-  }
-
-  /// The engine is passed, not its tail value: partial_tail() costs O(tail)
-  /// (or a sketch walk), and this is called once per event-loop iteration —
-  /// only a due tick (at most ~20 per replay) may pay for the estimate.
-  void maybe_emit(const FleetEngine& engine) {
-    if (scope == nullptr || chunk <= 0) return;
-    const std::int64_t c = completed.load(std::memory_order_relaxed);
-    if (c < next_at.load(std::memory_order_relaxed)) return;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (c < next_at.load(std::memory_order_relaxed)) return;  // lost the race
-    emit(c, engine.partial_tail());
-    next_at.store((c / chunk + 1) * chunk, std::memory_order_relaxed);
-  }
-};
-
-/// Pull interface the shard event loop consumes arrivals through — either a
-/// materialized arrival-sorted slice (VectorSource) or a lazily generated
-/// stream filtered down to the shard's users (StreamShardSource).
-class RequestSource {
- public:
-  virtual ~RequestSource() = default;
-  /// Next arrival without consuming it; nullptr once exhausted. Stable
-  /// until the next pop().
-  virtual const Request* peek() = 0;
-  virtual void pop() = 0;
-};
-
-class VectorSource final : public RequestSource {
- public:
-  explicit VectorSource(const std::vector<Request>& requests)
-      : requests_(requests) {}
-
-  const Request* peek() override {
-    return next_ < requests_.size() ? &requests_[next_] : nullptr;
-  }
-  void pop() override { ++next_; }
-
- private:
-  const std::vector<Request>& requests_;
-  std::size_t next_ = 0;
-};
 
 /// Filters a full-workload stream down to `user % num_shards == shard`,
 /// buffering one request — the shard sees exactly the slice the static
@@ -102,672 +17,76 @@ class VectorSource final : public RequestSource {
 /// being materialized.
 class StreamShardSource final : public RequestSource {
  public:
-  StreamShardSource(RequestStream& stream, int shard, int num_shards)
-      : stream_(stream), shard_(shard), num_shards_(num_shards) {}
+  StreamShardSource(std::unique_ptr<RequestStream> stream, int shard,
+                    int num_shards, std::int64_t target)
+      : stream_(std::move(stream)),
+        shard_(shard),
+        num_shards_(num_shards),
+        target_(target) {}
 
   const Request* peek() override {
     while (!buffered_) {
-      std::optional<Request> r = stream_.next();
+      std::optional<Request> r = stream_->next();
       if (!r) return nullptr;
       if (r->user % num_shards_ == shard_) buffered_ = *r;
     }
     return &*buffered_;
   }
   void pop() override { buffered_.reset(); }
+  std::int64_t expected_requests() const override { return target_; }
+  Status status() const override { return stream_->finish_status(); }
 
  private:
-  RequestStream& stream_;
+  std::unique_ptr<RequestStream> stream_;
   int shard_;
   int num_shards_;
+  std::int64_t target_;
   std::optional<Request> buffered_;
 };
 
-/// One shard's event-driven replay: arrivals pulled from `source` (in
-/// non-decreasing time order) over `instances` servers whose global ids
-/// start at `first_instance`, run through the shared FleetEngine on this
-/// shard's own clock — VirtualClock jumps between events (bit-exact,
-/// reproducible), SteadyClock paces them at their trace timestamps in real
-/// time, so recorded dispatch times and latencies include genuine scheduler
-/// jitter — that is the point of wall mode, not a defect. The only failure
-/// mode is cooperative cancellation via `sink->scope`.
-StatusOr<ShardStats> run_shard(const ServiceModel& service,
-                               RequestSource& source,
-                               std::int64_t expected_requests,
-                               int shard_index, const ElasticSpec& elastic,
-                               const ShardElasticPlan& plan,
-                               const FleetOptions& options,
-                               std::uint64_t sketch_seed,
-                               ProgressSink* sink) {
-  const util::RunScope* scope = sink->scope;
-  const Request* first = source.peek();
-  const std::unique_ptr<Clock> clock =
-      make_clock(options.clock, first != nullptr ? first->arrival_us : 0);
+/// Shared head of the streaming replay and the checkpoint merge: the
+/// stream-only checks, the derived workload, and the stream fingerprint
+/// every process (and the merge) must agree on.
+struct StreamPlan {
+  ReplayPlan replay;
+  WorkloadOptions workload;
+};
 
-  FleetEngineConfig config;
-  config.policy = options.policy;
-  config.batch_timeout_us = options.batch_timeout_us;
-  config.switch_penalty_us = options.switch_penalty_us;
-  config.sla_bound_us = options.sla_bound_us;
-  config.progress_tail_pct = options.progress_tail_pct;
-  config.keep_records = options.keep_records;
-  config.shard_index = shard_index;
-  config.first_instance = plan.first_instance;
-  config.instances = plan.provisioned;
-  config.initial_active = plan.initial_active;
-  config.max_cells =
-      elastic.reshard_enabled() ? elastic.reshard.max_cells : 1;
-  config.expected_requests = expected_requests;
-  config.latency_mode = options.latency_mode;
-  config.sketch_seed = sketch_seed;
-  FleetEngine engine(service, config, clock.get());
-  engine.set_batch_hook([sink](const Batch& batch, int, double, double) {
-    sink->completed.fetch_add(
-        static_cast<std::int64_t>(batch.requests.size()),
-        std::memory_order_relaxed);
-  });
-
-  // The controller exists whenever a policy or fault schedule has work to
-  // do; its decisions are functions of shard-local state at virtual-time
-  // readings, so its presence never couples shards or threads.
-  std::optional<ElasticController> controller;
-  if (elastic.enabled() || !plan.faults.empty()) {
-    controller.emplace(elastic, plan, options.sla_bound_us);
-    engine.set_controller(&*controller);
+StatusOr<StreamPlan> plan_stream_replay(const ServiceModel& service,
+                                        const ServeSpec& spec) {
+  auto options = resolved_fleet_options(spec, &service);
+  if (!options.is_ok()) return options.status();
+  StreamPlan plan;
+  plan.workload = spec.workload;
+  const WorkloadOptions workload_defaults;
+  if (plan.workload.branches == workload_defaults.branches) {
+    plan.workload.branches = service.num_branches();
   }
-
-  while (true) {
-    if (scope != nullptr && scope->should_stop()) {
-      return Status::cancelled("fleet replay cancelled after " +
-                               std::to_string(sink->completed.load()) + "/" +
-                               std::to_string(sink->offered) + " requests");
-    }
-    // Ingest every arrival due by the clock reading.
-    while (const Request* r = source.peek()) {
-      if (r->arrival_us > engine.now_us()) break;
-      engine.enqueue(*r);
-      source.pop();
-    }
-    const Request* upcoming = source.peek();
-    if (upcoming == nullptr) engine.close();
-
-    if (controller) controller->tick(engine, engine.now_us());
-    engine.dispatch_ready();
-    sink->maybe_emit(engine);
-
-    // Advance to the next event: an arrival, a batching deadline, an
-    // elastic boundary (evaluation cadence or fault transition), or — when
-    // a batch is ready but every instance is busy — an instance freeing up.
-    double t_us = engine.next_event_us();
-    if (upcoming != nullptr) {
-      t_us = std::min(t_us, upcoming->arrival_us);
-    }
-    if (controller) {
-      t_us = std::min(t_us, controller->next_event_us(engine.now_us()));
-    }
-    // The controller's evaluation cadence stays finite after the work is
-    // done, so "no event left" alone no longer terminates the loop — the
-    // drained check does (it is exactly when t_us hit +inf before).
-    if ((upcoming == nullptr && engine.drained()) || t_us == kInf) break;
-    // Virtual time must advance strictly every iteration — an equal-time
-    // event would loop forever on exact readings. A steady clock, by
-    // contrast, keeps moving between calls, so the wall reading can
-    // legitimately overtake the event schedule; advance_to on a
-    // past deadline is then an immediate return and the next iteration
-    // processes whatever became due.
-    if (options.clock == ClockKind::kVirtual) {
-      FCAD_CHECK_MSG(t_us > engine.now_us(),
-                     "fleet: simulation time did not advance");
-    }
-    engine.advance_to(t_us);
+  if (plan.workload.process == ArrivalProcess::kTrace) {
+    return Status::invalid_argument(
+        "fleet: the streaming replay generates its workload — a trace is "
+        "already materialized, use simulate_fleet");
   }
-
-  ShardStats out = engine.take_stats();
-  FCAD_CHECK_MSG(out.completed == out.offered,
-                 "fleet: lost requests in flight");
-  return out;
-}
-
-// ---------------------------------------------------------- checkpointing --
-
-void write_int64s(std::ostream& os, const char* key,
-                  const std::vector<std::int64_t>& values) {
-  os << key << " " << values.size();
-  for (std::int64_t v : values) os << " " << v;
-  os << "\n";
-}
-
-void write_doubles(std::ostream& os, const char* key,
-                   const std::vector<double>& values) {
-  os << key << " " << values.size();
-  for (double v : values) os << " " << format_exact(v);
-  os << "\n";
-}
-
-void shard_to_text(std::ostream& os, const ShardStats& shard) {
-  os << "offered " << shard.offered << "\n";
-  os << "completed " << shard.completed << "\n";
-  os << "batches " << shard.batches << "\n";
-  os << "sla_violations " << shard.sla_violations << "\n";
-  os << "max_queue_depth " << shard.max_queue_depth << "\n";
-  os << "scale_up_events " << shard.scale_up_events << "\n";
-  os << "scale_down_events " << shard.scale_down_events << "\n";
-  os << "reshard_splits " << shard.reshard_splits << "\n";
-  os << "fault_events " << shard.fault_events << "\n";
-  os << "recover_events " << shard.recover_events << "\n";
-  os << "fill_sum " << format_exact(shard.fill_sum) << "\n";
-  os << "depth_integral_us " << format_exact(shard.depth_integral_us) << "\n";
-  os << "makespan_us " << format_exact(shard.makespan_us) << "\n";
-  write_doubles(os, "latencies", shard.latencies);
-  write_doubles(os, "waits", shard.waits);
-  write_int64s(os, "branch_completed", shard.branch_completed);
-  // Instance and record rows share stats.cpp's line (de)serializers, so
-  // the checkpoint and artifact formats can never diverge per-row (the
-  // utilization field is 0 here — it is recomputed at merge time).
-  os << "instances " << shard.instances.size() << "\n";
-  for (const InstanceStats& inst : shard.instances) {
-    write_instance_line(os, inst);
+  if (plan.workload.target_requests <= 0) {
+    return Status::invalid_argument(
+        "fleet: the streaming replay needs workload.target_requests > 0 (a "
+        "definite end the shards can run to)");
   }
-  os << "records " << shard.records.size() << "\n";
-  for (const RequestRecord& rec : shard.records) {
-    write_record_line(os, rec);
+  if (plan.workload.branches > service.num_branches()) {
+    return Status::invalid_argument(
+        "fleet: workload.branches exceeds the service model's branches");
   }
-  os << "shard_end\n";
-}
-
-bool shard_from_text(std::istream& in, ShardStats& shard) {
-  std::string line;
-  auto read_counted = [](std::istringstream& fields, auto& out) {
-    std::size_t n = 0;
-    fields >> n;
-    if (fields.fail()) return false;
-    out.clear();
-    // The count comes from an untrusted file: cap the reservation so a
-    // corrupt value fails the element reads below (-> wholesale restart)
-    // instead of throwing length_error out of reserve.
-    out.reserve(std::min<std::size_t>(n, 1u << 20));
-    for (std::size_t i = 0; i < n; ++i) {
-      typename std::decay_t<decltype(out)>::value_type v{};
-      fields >> v;
-      if (fields.fail()) return false;
-      out.push_back(v);
-    }
-    return true;
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "shard_end") return true;
-    if (key == "offered") {
-      fields >> shard.offered;
-    } else if (key == "completed") {
-      fields >> shard.completed;
-    } else if (key == "batches") {
-      fields >> shard.batches;
-    } else if (key == "sla_violations") {
-      fields >> shard.sla_violations;
-    } else if (key == "max_queue_depth") {
-      fields >> shard.max_queue_depth;
-    } else if (key == "scale_up_events") {
-      fields >> shard.scale_up_events;
-    } else if (key == "scale_down_events") {
-      fields >> shard.scale_down_events;
-    } else if (key == "reshard_splits") {
-      fields >> shard.reshard_splits;
-    } else if (key == "fault_events") {
-      fields >> shard.fault_events;
-    } else if (key == "recover_events") {
-      fields >> shard.recover_events;
-    } else if (key == "fill_sum") {
-      fields >> shard.fill_sum;
-    } else if (key == "depth_integral_us") {
-      fields >> shard.depth_integral_us;
-    } else if (key == "makespan_us") {
-      fields >> shard.makespan_us;
-    } else if (key == "latencies") {
-      if (!read_counted(fields, shard.latencies)) return false;
-      continue;
-    } else if (key == "waits") {
-      if (!read_counted(fields, shard.waits)) return false;
-      continue;
-    } else if (key == "branch_completed") {
-      if (!read_counted(fields, shard.branch_completed)) return false;
-      continue;
-    } else if (key == "instances") {
-      std::size_t n = 0;
-      fields >> n;
-      if (fields.fail()) return false;
-      for (std::size_t i = 0; i < n; ++i) {
-        InstanceStats inst;
-        if (!std::getline(in, line) || !parse_instance_line(line, inst)) {
-          return false;
-        }
-        shard.instances.push_back(inst);
-      }
-      continue;
-    } else if (key == "records") {
-      std::size_t n = 0;
-      fields >> n;
-      if (fields.fail()) return false;
-      for (std::size_t i = 0; i < n; ++i) {
-        RequestRecord rec;
-        if (!std::getline(in, line) || !parse_record_line(line, rec)) {
-          return false;
-        }
-        shard.records.push_back(rec);
-      }
-      continue;
-    } else {
-      return false;
-    }
-    if (fields.fail()) return false;
+  auto replay = plan_replay(spec, *options);
+  if (!replay.is_ok()) return replay.status();
+  plan.replay = std::move(replay).value();
+  plan.replay.offered = plan.workload.target_requests;
+  plan.replay.fingerprint = stream_fingerprint(
+      service, plan.workload, *options, spec.scenario, spec.elastic);
+  if (options->latency_mode == LatencyMode::kSketch) {
+    plan.replay.sketch_seed =
+        sketch_seed_from_fingerprint(plan.replay.fingerprint);
   }
-  return false;  // ran out of lines before shard_end
-}
-
-void absorb_common_fingerprint(util::Hash128& h, const ServiceModel& service,
-                               const FleetOptions& options,
-                               const ScenarioSpec& scenario,
-                               const ElasticSpec& elastic) {
-  // Elastic policies and fault schedules change per-shard results, so a
-  // checkpoint from a different spec must never resume this run. The
-  // canonical strings are byte-stable (format_number round-trips exactly).
-  h.absorb_string(scenario_to_string(scenario));
-  h.absorb_string(elastic_to_string(elastic));
-  h.absorb(service.branches.size());
-  for (const BranchService& b : service.branches) {
-    h.absorb(static_cast<std::uint64_t>(b.capacity));
-    h.absorb_double(b.pass_us);
-  }
-  h.absorb(static_cast<std::uint64_t>(options.instances));
-  h.absorb(static_cast<std::uint64_t>(options.policy));
-  h.absorb_double(options.batch_timeout_us);
-  h.absorb_double(options.switch_penalty_us);
-  h.absorb_double(options.sla_bound_us);
-  h.absorb(static_cast<std::uint64_t>(options.shards));
-  h.absorb(static_cast<std::uint64_t>(options.keep_records));
-  h.absorb(static_cast<std::uint64_t>(options.latency_mode));
-}
-
-/// Fingerprint binding a checkpoint to its exact run: the service model,
-/// the full request stream (hashed shard slice by shard slice, in shard
-/// order), and every result-affecting fleet option. A mismatch means
-/// "different replay" — the checkpoint is ignored. The clock kind is
-/// deliberately absent: it paces events without changing results, so a
-/// virtual run may resume a cancelled wall-clock one and vice versa.
-/// process_index/process_count are likewise absent — the point of the
-/// multi-process mode is that every process (and the final merge) agrees on
-/// one fingerprint.
-std::string replay_fingerprint(
-    const ServiceModel& service,
-    const std::vector<std::vector<Request>>& shard_requests,
-    const FleetOptions& options, const ScenarioSpec& scenario,
-    const ElasticSpec& elastic) {
-  util::Hash128 h;
-  h.absorb_string(kCheckpointMagic);
-  absorb_common_fingerprint(h, service, options, scenario, elastic);
-  h.absorb(shard_requests.size());
-  for (const std::vector<Request>& shard : shard_requests) {
-    h.absorb(shard.size());
-    for (const Request& r : shard) {
-      h.absorb(static_cast<std::uint64_t>(r.id));
-      h.absorb(static_cast<std::uint64_t>(r.user));
-      h.absorb(static_cast<std::uint64_t>(r.branch));
-      h.absorb_double(r.arrival_us);
-    }
-  }
-  return h.hex();
-}
-
-/// Streaming-replay twin: the request stream is a pure function of the
-/// workload + scenario parameters, so hashing those (instead of a stream the
-/// whole point is never to materialize) binds the checkpoint just as
-/// tightly.
-std::string stream_fingerprint(const ServiceModel& service,
-                               const WorkloadOptions& workload,
-                               const FleetOptions& options,
-                               const ScenarioSpec& scenario,
-                               const ElasticSpec& elastic) {
-  util::Hash128 h;
-  h.absorb_string("fcad-fleet-stream v2");
-  absorb_common_fingerprint(h, service, options, scenario, elastic);
-  h.absorb(static_cast<std::uint64_t>(workload.process));
-  h.absorb(static_cast<std::uint64_t>(workload.users));
-  h.absorb(static_cast<std::uint64_t>(workload.branches));
-  h.absorb_double(workload.frame_rate_hz);
-  h.absorb_double(workload.duration_s);
-  h.absorb(workload.seed);
-  h.absorb_double(workload.burst_on_s);
-  h.absorb_double(workload.burst_off_s);
-  h.absorb_double(workload.burst_factor);
-  h.absorb(static_cast<std::uint64_t>(workload.target_requests));
-  return h.hex();
-}
-
-/// Loads finished-shard slots from `path`. Any mismatch (magic,
-/// fingerprint, shard count) or torn content ignores the file wholesale —
-/// resuming from a stale or corrupt checkpoint would silently change
-/// results, restarting never does.
-int load_checkpoint(const std::string& path, const std::string& fingerprint,
-                    std::vector<std::optional<ShardStats>>& slots) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointMagic) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
-    return 0;
-  }
-  if (!std::getline(in, line) || line != "fingerprint " + fingerprint) {
-    FCAD_LOG(kWarn) << "fleet checkpoint is for a different replay, "
-                       "restarting: "
-                    << path;
-    return 0;
-  }
-  if (!std::getline(in, line) ||
-      line != "shards " + std::to_string(slots.size())) {
-    FCAD_LOG(kWarn) << "fleet checkpoint shard count mismatch, restarting: "
-                    << path;
-    return 0;
-  }
-  std::vector<std::optional<ShardStats>> loaded(slots.size());
-  int count = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "end") {
-      slots = std::move(loaded);
-      return count;
-    }
-    std::size_t index = slots.size();
-    fields >> index;
-    if (key != "shard" || fields.fail() || index >= slots.size()) break;
-    ShardStats shard;
-    if (!shard_from_text(in, shard)) break;
-    loaded[index] = std::move(shard);
-    ++count;
-  }
-  FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
-                  << path;
-  return 0;
-}
-
-/// Atomically rewrites the checkpoint with every finished shard. Called
-/// under the caller's mutex; a failed write only costs resumability.
-void write_checkpoint(const std::string& path, const std::string& fingerprint,
-                      const std::vector<std::optional<ShardStats>>& slots) {
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(::getpid());
-  bool written = false;
-  {
-    std::ofstream out(tmp_path);
-    if (out) {
-      out << kCheckpointMagic << "\n";
-      out << "fingerprint " << fingerprint << "\n";
-      out << "shards " << slots.size() << "\n";
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s]) continue;
-        out << "shard " << s << "\n";
-        shard_to_text(out, *slots[s]);
-      }
-      out << "end\n";
-      written = out.good();
-    }
-  }
-  std::error_code ec;
-  if (written) {
-    std::filesystem::rename(tmp_path, path, ec);
-    written = !ec;
-  }
-  if (!written) {
-    std::filesystem::remove(tmp_path, ec);
-    FCAD_LOG(kWarn) << "fleet checkpoint not writable: " << path;
-  }
-}
-
-// ------------------------------------------------ binary checkpoint (v2) --
-// The sketch-mode format: raw little-endian fields (like the sketch's own
-// encoding), no per-request streams — a shard block is O(branches +
-// instances + sketch buckets) however many requests it covered. Every read
-// is exact-size, so a torn or truncated file fails a get_* and is rejected
-// wholesale, same contract as the text format.
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  os.write(buf, sizeof v);
-}
-
-void put_i64(std::ostream& os, std::int64_t v) {
-  put_u64(os, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::ostream& os, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(os, bits);
-}
-
-template <typename T>
-bool get_raw(std::istream& in, T& v) {
-  char buf[sizeof v];
-  in.read(buf, sizeof v);
-  if (in.gcount() != sizeof v) return false;
-  std::memcpy(&v, buf, sizeof v);
-  return true;
-}
-
-bool get_f64(std::istream& in, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_raw(in, bits)) return false;
-  std::memcpy(&v, &bits, sizeof v);
-  return true;
-}
-
-void shard_to_binary(std::ostream& os, const ShardStats& shard) {
-  put_i64(os, shard.offered);
-  put_i64(os, shard.completed);
-  put_i64(os, shard.batches);
-  put_i64(os, shard.sla_violations);
-  put_i64(os, shard.max_queue_depth);
-  put_i64(os, shard.scale_up_events);
-  put_i64(os, shard.scale_down_events);
-  put_i64(os, shard.reshard_splits);
-  put_i64(os, shard.fault_events);
-  put_i64(os, shard.recover_events);
-  put_f64(os, shard.fill_sum);
-  put_f64(os, shard.depth_integral_us);
-  put_f64(os, shard.makespan_us);
-  put_u32(os, static_cast<std::uint32_t>(shard.branch_completed.size()));
-  for (std::int64_t v : shard.branch_completed) put_i64(os, v);
-  put_u32(os, static_cast<std::uint32_t>(shard.instances.size()));
-  for (const InstanceStats& inst : shard.instances) {
-    put_i64(os, inst.instance);
-    put_i64(os, inst.batches);
-    put_i64(os, inst.requests);
-    put_i64(os, inst.branch_switches);
-    put_f64(os, inst.busy_us);
-  }
-  shard.latency_sketch.write_binary(os);
-  shard.wait_sketch.write_binary(os);
-}
-
-bool shard_from_binary(std::istream& in, ShardStats& shard) {
-  std::int64_t depth = 0;
-  if (!get_raw(in, shard.offered) || !get_raw(in, shard.completed) ||
-      !get_raw(in, shard.batches) || !get_raw(in, shard.sla_violations) ||
-      !get_raw(in, depth) || !get_raw(in, shard.scale_up_events) ||
-      !get_raw(in, shard.scale_down_events) ||
-      !get_raw(in, shard.reshard_splits) ||
-      !get_raw(in, shard.fault_events) ||
-      !get_raw(in, shard.recover_events) || !get_f64(in, shard.fill_sum) ||
-      !get_f64(in, shard.depth_integral_us) ||
-      !get_f64(in, shard.makespan_us)) {
-    return false;
-  }
-  shard.max_queue_depth = static_cast<int>(depth);
-  shard.latency_mode = LatencyMode::kSketch;
-  std::uint32_t n_branch = 0;
-  if (!get_raw(in, n_branch)) return false;
-  shard.branch_completed.clear();
-  shard.branch_completed.reserve(std::min<std::uint32_t>(n_branch, 1u << 20));
-  for (std::uint32_t i = 0; i < n_branch; ++i) {
-    std::int64_t v = 0;
-    if (!get_raw(in, v)) return false;
-    shard.branch_completed.push_back(v);
-  }
-  std::uint32_t n_instances = 0;
-  if (!get_raw(in, n_instances)) return false;
-  shard.instances.clear();
-  shard.instances.reserve(std::min<std::uint32_t>(n_instances, 1u << 20));
-  for (std::uint32_t i = 0; i < n_instances; ++i) {
-    InstanceStats inst;
-    std::int64_t id = 0;
-    if (!get_raw(in, id) || !get_raw(in, inst.batches) ||
-        !get_raw(in, inst.requests) || !get_raw(in, inst.branch_switches) ||
-        !get_f64(in, inst.busy_us)) {
-      return false;
-    }
-    inst.instance = static_cast<int>(id);
-    shard.instances.push_back(inst);
-  }
-  return QuantileSketch::read_binary(in, shard.latency_sketch) &&
-         QuantileSketch::read_binary(in, shard.wait_sketch);
-}
-
-/// Binary twin of load_checkpoint: same strictness (any mismatch or torn
-/// content rejects the file wholesale), returns the loaded-shard count.
-int load_checkpoint_binary(const std::string& path,
-                           const std::string& fingerprint,
-                           std::vector<std::optional<ShardStats>>& slots) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  char magic[8];
-  in.read(magic, sizeof magic);
-  if (in.gcount() != sizeof magic ||
-      std::memcmp(magic, kBinaryMagic, sizeof magic) != 0) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
-    return 0;
-  }
-  std::uint32_t version = 0;
-  std::uint32_t fp_len = 0;
-  if (!get_raw(in, version) || version != kBinaryVersion ||
-      !get_raw(in, fp_len) || fp_len != fingerprint.size()) {
-    FCAD_LOG(kWarn) << "fleet checkpoint unreadable, restarting: " << path;
-    return 0;
-  }
-  std::string fp(fp_len, '\0');
-  in.read(fp.data(), static_cast<std::streamsize>(fp_len));
-  if (in.gcount() != static_cast<std::streamsize>(fp_len) ||
-      fp != fingerprint) {
-    FCAD_LOG(kWarn) << "fleet checkpoint is for a different replay, "
-                       "restarting: "
-                    << path;
-    return 0;
-  }
-  std::uint32_t total = 0;
-  std::uint32_t present = 0;
-  if (!get_raw(in, total) || total != slots.size() || !get_raw(in, present) ||
-      present > total) {
-    FCAD_LOG(kWarn) << "fleet checkpoint shard count mismatch, restarting: "
-                    << path;
-    return 0;
-  }
-  std::vector<std::optional<ShardStats>> loaded(slots.size());
-  for (std::uint32_t i = 0; i < present; ++i) {
-    std::uint32_t index = 0;
-    ShardStats shard;
-    if (!get_raw(in, index) || index >= slots.size() ||
-        !shard_from_binary(in, shard)) {
-      FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
-                      << path;
-      return 0;
-    }
-    loaded[index] = std::move(shard);
-  }
-  std::uint32_t trailer = 0;
-  if (!get_raw(in, trailer) || trailer != kBinaryTrailer) {
-    FCAD_LOG(kWarn) << "fleet checkpoint torn or truncated, restarting: "
-                    << path;
-    return 0;
-  }
-  slots = std::move(loaded);
-  return static_cast<int>(present);
-}
-
-/// Binary twin of write_checkpoint — same temp + rename atomicity.
-void write_checkpoint_binary(
-    const std::string& path, const std::string& fingerprint,
-    const std::vector<std::optional<ShardStats>>& slots) {
-  const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
-  bool written = false;
-  {
-    std::ofstream out(tmp_path, std::ios::binary);
-    if (out) {
-      out.write(kBinaryMagic, sizeof kBinaryMagic);
-      put_u32(out, kBinaryVersion);
-      put_u32(out, static_cast<std::uint32_t>(fingerprint.size()));
-      out.write(fingerprint.data(),
-                static_cast<std::streamsize>(fingerprint.size()));
-      put_u32(out, static_cast<std::uint32_t>(slots.size()));
-      std::uint32_t present = 0;
-      for (const auto& slot : slots) present += slot ? 1 : 0;
-      put_u32(out, present);
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s]) continue;
-        put_u32(out, static_cast<std::uint32_t>(s));
-        shard_to_binary(out, *slots[s]);
-      }
-      put_u32(out, kBinaryTrailer);
-      written = out.good();
-    }
-  }
-  std::error_code ec;
-  if (written) {
-    std::filesystem::rename(tmp_path, path, ec);
-    written = !ec;
-  }
-  if (!written) {
-    std::filesystem::remove(tmp_path, ec);
-    FCAD_LOG(kWarn) << "fleet checkpoint not writable: " << path;
-  }
-}
-
-/// The exact final tail-percentile estimate for the terminal progress tick,
-/// computed from the per-shard streams BEFORE merge_shard_stats consumes
-/// them. Exact mode streams every latency through a TailTracker (O(tail)
-/// memory); sketch mode folds the shard sketches and reads the quantile.
-double final_tail_estimate(const std::vector<ShardStats>& shards,
-                           std::int64_t total_completed,
-                           const FleetOptions& options) {
-  if (options.latency_mode == LatencyMode::kSketch) {
-    QuantileSketch merged;
-    bool first = true;
-    for (const ShardStats& shard : shards) {
-      if (first) {
-        merged = shard.latency_sketch;
-        first = false;
-      } else {
-        FCAD_CHECK_MSG(merged.merge(shard.latency_sketch).is_ok(),
-                       "fleet: shard sketches disagree on seed/alpha");
-      }
-    }
-    return merged.count() == 0 ? 0
-                               : merged.quantile(options.progress_tail_pct);
-  }
-  TailTracker tail(total_completed, options.progress_tail_pct);
-  for (const ShardStats& shard : shards) {
-    for (double v : shard.latencies) tail.add(v);
-  }
-  return tail.partial();
+  return plan;
 }
 
 }  // namespace
@@ -799,7 +118,8 @@ StatusOr<DispatchPolicy> dispatch_policy_by_name(const std::string& name) {
   return Status::not_found("unknown dispatch policy '" + name + "'");
 }
 
-StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec) {
+StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec,
+                                              const ServiceModel* service) {
   FleetOptions options = spec.fleet;
   const FleetOptions fleet_defaults;
   const SlaOptions sla_defaults;
@@ -821,16 +141,6 @@ StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec) {
         "ServeSpec: clock and fleet.clock disagree — state the clock once");
   }
   if (spec.clock != ClockKind::kVirtual) options.clock = spec.clock;
-  return options;
-}
-
-StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
-                                      const std::vector<Request>& requests,
-                                      const ServeSpec& spec,
-                                      const util::RunScope* scope) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  const FleetOptions& options = *resolved;
   if (options.instances < 1) {
     return Status::invalid_argument("fleet: instances must be >= 1");
   }
@@ -843,190 +153,31 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
     return Status::invalid_argument("fleet: progress_tail_pct: " +
                                     s.message());
   }
-  if (service.num_branches() < 1) {
+  if (service != nullptr && service->num_branches() < 1) {
     return Status::invalid_argument("fleet: service model has no branches");
   }
   if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
   if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
   if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
     return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — the binary v2 "
-        "checkpoint carries no per-request records");
+        "fleet: keep_records requires latency_mode exact — sketch mode keeps "
+        "no per-request streams");
   }
-  if (options.process_count != 1 || options.process_index != 0) {
+  return options;
+}
+
+StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
+                                      const std::vector<Request>& requests,
+                                      const ServeSpec& spec,
+                                      const util::RunScope* scope) {
+  auto options = resolved_fleet_options(spec, &service);
+  if (!options.is_ok()) return options.status();
+  if (options->process_count != 1 || options->process_index != 0) {
     return Status::invalid_argument(
         "fleet: process sharding requires the streaming replay "
         "(simulate_fleet_stream)");
   }
-
-  // Static partition: user u -> shard u mod S; the *provisioned* instance
-  // pool splits into contiguous per-shard slices (with a disabled elastic
-  // spec the provisioned pool is exactly the active fleet — the classic
-  // split). One counting pass sizes every slice, one partition pass fills
-  // them — the full-workload copy the old copy-then-sort paid is gone.
-  // Partitioning preserves relative order, so a per-shard stable sort
-  // yields exactly the slice a global stable sort would have handed the
-  // shard — and already-sorted input (every generator's output) skips the
-  // sorts entirely.
-  const int num_shards = options.shards;
-  std::vector<std::size_t> shard_sizes(static_cast<std::size_t>(num_shards),
-                                       0);
-  for (const Request& r : requests) {
-    if (r.branch < 0 || r.branch >= service.num_branches()) {
-      return Status::invalid_argument("fleet: request branch out of range");
-    }
-    ++shard_sizes[static_cast<std::size_t>(r.user % num_shards)];
-  }
-  std::vector<std::vector<Request>> shard_requests(
-      static_cast<std::size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shard_requests[static_cast<std::size_t>(s)].reserve(
-        shard_sizes[static_cast<std::size_t>(s)]);
-  }
-  const auto by_arrival = [](const Request& a, const Request& b) {
-    return a.arrival_us < b.arrival_us;
-  };
-  const bool presorted =
-      std::is_sorted(requests.begin(), requests.end(), by_arrival);
-  for (const Request& r : requests) {
-    shard_requests[static_cast<std::size_t>(r.user % num_shards)].push_back(
-        r);
-  }
-  if (!presorted) {
-    for (std::vector<Request>& shard : shard_requests) {
-      std::stable_sort(shard.begin(), shard.end(), by_arrival);
-    }
-  }
-  auto plans_or = plan_elastic_shards(spec.elastic, spec.scenario.faults,
-                                      options.instances, num_shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  const std::vector<ShardElasticPlan>& plans = *plans_or;
-  const int provisioned_total =
-      plans.back().first_instance + plans.back().provisioned;
-
-  const std::int64_t offered = static_cast<std::int64_t>(requests.size());
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
-
-  // Checkpoint resume: reload every finished shard of a matching prior run.
-  // The fingerprint is also what seeds sketch binding, so sketch mode
-  // computes it even without a checkpoint path.
-  std::vector<std::optional<ShardStats>> slots(
-      static_cast<std::size_t>(num_shards));
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-  int resumed = 0;
-  if (!options.checkpoint_path.empty() || sketch_mode) {
-    fingerprint = replay_fingerprint(service, shard_requests, options,
-                                     spec.scenario, spec.elastic);
-    if (sketch_mode) sketch_seed = sketch_seed_from_fingerprint(fingerprint);
-  }
-  if (!options.checkpoint_path.empty()) {
-    resumed = sketch_mode ? load_checkpoint_binary(options.checkpoint_path,
-                                                   fingerprint, slots)
-                          : load_checkpoint(options.checkpoint_path,
-                                            fingerprint, slots);
-  }
-
-  ProgressSink sink;
-  sink.scope = scope;
-  sink.offered = offered;
-  sink.chunk = scope != nullptr ? std::max<std::int64_t>(1, offered / 20) : 0;
-  std::int64_t already_completed = 0;
-  for (const auto& slot : slots) {
-    if (slot) already_completed += slot->completed;
-  }
-  sink.completed.store(already_completed);
-  sink.next_at.store(
-      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
-
-  std::mutex slot_mutex;
-  std::vector<Status> shard_status(static_cast<std::size_t>(num_shards),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t s) {
-    const auto index = static_cast<std::size_t>(s);
-    if (slots[index]) return;  // resumed from the checkpoint
-    VectorSource source(shard_requests[index]);
-    auto result = run_shard(
-        service, source,
-        static_cast<std::int64_t>(shard_requests[index].size()),
-        static_cast<int>(s), spec.elastic, plans[index], options, sketch_seed,
-        &sink);
-    if (!result.is_ok()) {
-      shard_status[index] = result.status();
-      return;
-    }
-    std::lock_guard<std::mutex> lock(slot_mutex);
-    slots[index] = std::move(result).value();
-    if (!options.checkpoint_path.empty()) {
-      if (sketch_mode) {
-        write_checkpoint_binary(options.checkpoint_path, fingerprint, slots);
-      } else {
-        write_checkpoint(options.checkpoint_path, fingerprint, slots);
-      }
-      obs::MetricsRegistry::global()
-          .counter("serving.fleet.checkpoint_writes")
-          .add(1);
-      if (obs::Tracer* const tracer = obs::tracer()) {
-        // Stamped at the shard's virtual makespan — where the shard's
-        // timeline ends, which is when its state became durable.
-        tracer->instant(shard_lane(static_cast<int>(s)), "checkpoint write",
-                        "serving", slots[index]->makespan_us);
-      }
-    }
-  };
-  if (num_shards == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(num_shards, run_one);
-  }
-
-  bool cancelled = false;
-  for (const Status& s : shard_status) {
-    if (s.is_ok()) continue;
-    if (s.code() == StatusCode::kCancelled) {
-      cancelled = true;
-      continue;
-    }
-    return s;
-  }
-  if (cancelled) {
-    return Status::cancelled("fleet replay cancelled after " +
-                             std::to_string(sink.completed.load()) + "/" +
-                             std::to_string(offered) + " requests");
-  }
-
-  std::vector<ShardStats> shards;
-  shards.reserve(slots.size());
-  for (auto& slot : slots) shards.push_back(std::move(*slot));
-
-  // The terminal tick: every replay with an observer ends with a progress
-  // event whose estimate is the final tail percentile over ALL latencies
-  // (exact in exact mode, the merged-sketch quantile in sketch mode). A
-  // sharded run's last in-loop tick carries the emitting shard's local
-  // estimate even when it lands exactly at completed == offered, so only
-  // the single-shard loop (whose tracker saw every sample) may skip the
-  // terminal emit. Computed before the merge, which consumes the shards.
-  std::int64_t total_completed = 0;
-  for (const ShardStats& shard : shards) total_completed += shard.completed;
-  const bool terminal_tick =
-      scope != nullptr &&
-      (num_shards > 1 || sink.last_emitted.load() != total_completed);
-  const double final_tail =
-      terminal_tick ? final_tail_estimate(shards, total_completed, options)
-                    : 0;
-
-  ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
-                        provisioned_total, resumed);
-
-  FCAD_CHECK_MSG(stats.completed == stats.offered,
-                 "fleet: lost requests in flight");
-
-  if (terminal_tick) sink.emit(stats.completed, final_tail);
-
-  return stats;
+  return replay_trace(service, requests, spec, *options, {}, scope);
 }
 
 StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
@@ -1042,93 +193,13 @@ StatusOr<ServingStats> simulate_fleet(const ServiceModel& service,
   return simulate_fleet(service, *requests, spec, scope);
 }
 
-namespace {
-
-/// Shared head of the streaming replay and the checkpoint merge: resolves
-/// and validates the spec, fills the derived workload, and computes the
-/// stream fingerprint every process (and the merge) must agree on.
-struct StreamPlan {
-  FleetOptions options;
-  WorkloadOptions workload;
-  std::vector<ShardElasticPlan> plans;
-  int provisioned_total = 0;
-  std::string fingerprint;
-  std::uint64_t sketch_seed = 0;
-};
-
-StatusOr<StreamPlan> plan_stream_replay(const ServiceModel& service,
-                                        const ServeSpec& spec) {
-  auto resolved = resolved_fleet_options(spec);
-  if (!resolved.is_ok()) return resolved.status();
-  StreamPlan plan;
-  plan.options = *resolved;
-  const FleetOptions& options = plan.options;
-  if (options.instances < 1) {
-    return Status::invalid_argument("fleet: instances must be >= 1");
-  }
-  if (options.shards < 1 || options.shards > options.instances) {
-    return Status::invalid_argument(
-        "fleet: shards must be in [1, instances], got " +
-        std::to_string(options.shards));
-  }
-  if (Status s = validate_percentile(options.progress_tail_pct); !s.is_ok()) {
-    return Status::invalid_argument("fleet: progress_tail_pct: " +
-                                    s.message());
-  }
-  if (service.num_branches() < 1) {
-    return Status::invalid_argument("fleet: service model has no branches");
-  }
-  if (Status s = validate_scenario(spec.scenario); !s.is_ok()) return s;
-  if (Status s = validate_elastic(spec.elastic); !s.is_ok()) return s;
-  if (options.latency_mode == LatencyMode::kSketch && options.keep_records) {
-    return Status::invalid_argument(
-        "fleet: keep_records requires latency_mode exact — the binary v2 "
-        "checkpoint carries no per-request records");
-  }
-
-  plan.workload = spec.workload;
-  const WorkloadOptions workload_defaults;
-  if (plan.workload.branches == workload_defaults.branches) {
-    plan.workload.branches = service.num_branches();
-  }
-  if (plan.workload.process == ArrivalProcess::kTrace) {
-    return Status::invalid_argument(
-        "fleet: the streaming replay generates its workload — a trace is "
-        "already materialized, use simulate_fleet");
-  }
-  if (plan.workload.target_requests <= 0) {
-    return Status::invalid_argument(
-        "fleet: the streaming replay needs workload.target_requests > 0 (a "
-        "definite end the shards can run to)");
-  }
-  if (plan.workload.branches > service.num_branches()) {
-    return Status::invalid_argument(
-        "fleet: workload.branches exceeds the service model's branches");
-  }
-
-  auto plans_or = plan_elastic_shards(spec.elastic, spec.scenario.faults,
-                                      options.instances, options.shards);
-  if (!plans_or.is_ok()) return plans_or.status();
-  plan.plans = std::move(plans_or).value();
-  plan.provisioned_total =
-      plan.plans.back().first_instance + plan.plans.back().provisioned;
-  plan.fingerprint = stream_fingerprint(service, plan.workload, options,
-                                        spec.scenario, spec.elastic);
-  if (options.latency_mode == LatencyMode::kSketch) {
-    plan.sketch_seed = sketch_seed_from_fingerprint(plan.fingerprint);
-  }
-  return plan;
-}
-
-}  // namespace
-
 StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,
                                              const ServeSpec& spec,
                                              const util::RunScope* scope) {
   auto plan_or = plan_stream_replay(service, spec);
   if (!plan_or.is_ok()) return plan_or.status();
-  const StreamPlan& plan = *plan_or;
-  const FleetOptions& options = plan.options;
+  StreamPlan& plan = *plan_or;
+  const FleetOptions& options = plan.replay.options;
   const int num_shards = options.shards;
   if (options.process_count < 1 || options.process_count > num_shards) {
     return Status::invalid_argument(
@@ -1147,149 +218,31 @@ StatusOr<ServingStats> simulate_fleet_stream(const ServiceModel& service,
         "partial results could never be merged");
   }
 
-  // This process's contiguous shard range.
-  const int shard_lo = static_cast<int>(
+  // This process's contiguous shard range; the returned stats cover it
+  // alone. A single-process run owns every shard, and its result is
+  // bit-identical to the materialized overload on the same spec.
+  plan.replay.shard_lo = static_cast<int>(
       static_cast<std::int64_t>(options.process_index) * num_shards /
       options.process_count);
-  const int shard_hi = static_cast<int>(
+  plan.replay.shard_hi = static_cast<int>(
       static_cast<std::int64_t>(options.process_index + 1) * num_shards /
       options.process_count);
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
   const std::int64_t target = plan.workload.target_requests;
-
-  std::vector<std::optional<ShardStats>> slots(
-      static_cast<std::size_t>(num_shards));
-  int resumed = 0;
-  if (!options.checkpoint_path.empty()) {
-    resumed = sketch_mode ? load_checkpoint_binary(options.checkpoint_path,
-                                                   plan.fingerprint, slots)
-                          : load_checkpoint(options.checkpoint_path,
-                                            plan.fingerprint, slots);
-    // A resumable checkpoint only ever carries this process's own shards —
-    // drop anything outside the owned range (e.g. a file from a different
-    // process split) rather than reporting shards this process does not own.
-    for (int s = 0; s < num_shards; ++s) {
-      if ((s < shard_lo || s >= shard_hi) &&
-          slots[static_cast<std::size_t>(s)]) {
-        slots[static_cast<std::size_t>(s)].reset();
-        --resumed;
-      }
-    }
-  }
-
-  ProgressSink sink;
-  sink.scope = scope;
-  sink.offered = target;
-  sink.chunk = scope != nullptr ? std::max<std::int64_t>(1, target / 20) : 0;
-  std::int64_t already_completed = 0;
-  for (const auto& slot : slots) {
-    if (slot) already_completed += slot->completed;
-  }
-  sink.completed.store(already_completed);
-  sink.next_at.store(
-      sink.chunk > 0 ? (already_completed / sink.chunk + 1) * sink.chunk : 0);
-
-  std::mutex slot_mutex;
-  const int owned = shard_hi - shard_lo;
-  std::vector<Status> shard_status(static_cast<std::size_t>(owned),
-                                   Status::ok());
-  auto run_one = [&](std::int64_t i) {
-    const int s = shard_lo + static_cast<int>(i);
-    const auto index = static_cast<std::size_t>(s);
-    if (slots[index]) return;  // resumed from the checkpoint
-    // Each shard pulls its own full-workload stream and keeps only the
-    // users it owns — memory is O(users), never O(requests). The generator
-    // is deterministic, so every shard sees the identical global sequence.
-    auto stream_or = make_request_stream(plan.workload, spec.scenario);
-    if (!stream_or.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = stream_or.status();
-      return;
-    }
-    RequestStream& stream = **stream_or;
-    StreamShardSource source(stream, s, num_shards);
-    auto result = run_shard(service, source, target, s, spec.elastic,
-                            plan.plans[index], options, plan.sketch_seed,
-                            &sink);
-    if (Status fs = stream.finish_status(); !fs.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = fs;
-      return;
-    }
-    if (!result.is_ok()) {
-      shard_status[static_cast<std::size_t>(i)] = result.status();
-      return;
-    }
-    std::lock_guard<std::mutex> lock(slot_mutex);
-    slots[index] = std::move(result).value();
-    if (!options.checkpoint_path.empty()) {
-      if (sketch_mode) {
-        write_checkpoint_binary(options.checkpoint_path, plan.fingerprint,
-                                slots);
-      } else {
-        write_checkpoint(options.checkpoint_path, plan.fingerprint, slots);
-      }
-      obs::MetricsRegistry::global()
-          .counter("serving.fleet.checkpoint_writes")
-          .add(1);
-      if (obs::Tracer* const tracer = obs::tracer()) {
-        tracer->instant(shard_lane(s), "checkpoint write", "serving",
-                        slots[index]->makespan_us);
-      }
-    }
+  // Each shard pulls its own full-workload stream and keeps only the users
+  // it owns — memory is O(users), never O(requests). The generator is
+  // deterministic, so every shard sees the identical global sequence.
+  const OpenShard open_shard =
+      [&](int s) -> StatusOr<std::unique_ptr<RequestSource>> {
+    auto stream = make_request_stream(plan.workload, spec.scenario);
+    if (!stream.is_ok()) return stream.status();
+    return std::unique_ptr<RequestSource>(std::make_unique<StreamShardSource>(
+        std::move(stream).value(), s, num_shards, target));
   };
-  if (owned == 1) {
-    run_one(0);
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared(
-        scope != nullptr ? scope->threads(options.threads) : options.threads);
-    pool.parallel_for(owned, run_one);
-  }
-
-  bool cancelled = false;
-  for (const Status& s : shard_status) {
-    if (s.is_ok()) continue;
-    if (s.code() == StatusCode::kCancelled) {
-      cancelled = true;
-      continue;
-    }
-    return s;
-  }
-  if (cancelled) {
-    return Status::cancelled("fleet replay cancelled after " +
-                             std::to_string(sink.completed.load()) + "/" +
-                             std::to_string(target) + " requests");
-  }
-
-  std::vector<ShardStats> shards;
-  shards.reserve(static_cast<std::size_t>(owned));
-  for (int s = shard_lo; s < shard_hi; ++s) {
-    shards.push_back(std::move(*slots[static_cast<std::size_t>(s)]));
-  }
-
-  std::int64_t total_completed = 0;
-  for (const ShardStats& shard : shards) total_completed += shard.completed;
-  const bool terminal_tick =
-      scope != nullptr &&
-      (owned > 1 || sink.last_emitted.load() != total_completed);
-  const double final_tail =
-      terminal_tick ? final_tail_estimate(shards, total_completed, options)
-                    : 0;
-
-  // The returned stats cover this process's owned shards; a single-process
-  // run owns them all, and its result is bit-identical to the materialized
-  // overload on the same spec.
-  ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
-                        plan.provisioned_total, resumed);
-
-  FCAD_CHECK_MSG(stats.completed == stats.offered,
-                 "fleet: lost requests in flight");
-  if (options.process_count == 1) {
-    FCAD_CHECK_MSG(stats.completed == target,
+  auto stats = run_replay(service, plan.replay, open_shard, scope);
+  if (stats.is_ok() && options.process_count == 1) {
+    FCAD_CHECK_MSG(stats->completed == target,
                    "fleet: stream ended short of target_requests");
   }
-
-  if (terminal_tick) sink.emit(stats.completed, final_tail);
-
   return stats;
 }
 
@@ -1298,10 +251,8 @@ StatusOr<ServingStats> merge_replay_checkpoints(
     const std::vector<std::string>& checkpoint_paths) {
   auto plan_or = plan_stream_replay(service, spec);
   if (!plan_or.is_ok()) return plan_or.status();
-  const StreamPlan& plan = *plan_or;
-  const FleetOptions& options = plan.options;
-  const int num_shards = options.shards;
-  const bool sketch_mode = options.latency_mode == LatencyMode::kSketch;
+  const ReplayPlan& plan = plan_or->replay;
+  const int num_shards = plan.options.shards;
   if (checkpoint_paths.empty()) {
     return Status::invalid_argument("merge: no checkpoint files given");
   }
@@ -1313,11 +264,7 @@ StatusOr<ServingStats> merge_replay_checkpoints(
   for (const std::string& path : checkpoint_paths) {
     std::vector<std::optional<ShardStats>> file_slots(
         static_cast<std::size_t>(num_shards));
-    const int loaded =
-        sketch_mode
-            ? load_checkpoint_binary(path, plan.fingerprint, file_slots)
-            : load_checkpoint(path, plan.fingerprint, file_slots);
-    if (loaded == 0) {
+    if (load_checkpoint(path, plan.fingerprint, file_slots) == 0) {
       return Status::invalid_argument(
           "merge: checkpoint unreadable, torn, empty, or for a different "
           "replay: " +
@@ -1352,15 +299,14 @@ StatusOr<ServingStats> merge_replay_checkpoints(
     total_offered += slot->offered;
     shards.push_back(std::move(*slot));
   }
-  if (total_offered != plan.workload.target_requests) {
+  if (total_offered != plan.offered) {
     return Status::invalid_argument(
         "merge: checkpoints cover " + std::to_string(total_offered) +
-        " requests but the spec targets " +
-        std::to_string(plan.workload.target_requests));
+        " requests but the spec targets " + std::to_string(plan.offered));
   }
 
   ServingStats stats =
-      merge_shard_stats(std::move(shards), service, options.sla_bound_us,
+      merge_shard_stats(std::move(shards), service, plan.options.sla_bound_us,
                         plan.provisioned_total, num_shards);
   FCAD_CHECK_MSG(stats.completed == stats.offered,
                  "merge: lost requests in flight");

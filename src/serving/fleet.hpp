@@ -75,13 +75,15 @@ struct FleetOptions {
   /// Percentile rank streamed by progress ticks (partial tail estimate).
   /// Validated: out-of-(0,100] values return Status::invalid_argument.
   double progress_tail_pct = 99;
-  /// Checkpoint file ("" disables). Granularity is one shard: every shard
-  /// completion atomically rewrites the file (temp + rename) with all
-  /// finished shards' partial stats, and a later run with the same service,
-  /// workload, and options resumes from it — loaded shards are not
-  /// re-simulated, and the merged stats are bit-identical to an
-  /// uninterrupted run. A checkpoint whose fingerprint does not match the
-  /// run is ignored, never misapplied.
+  /// Checkpoint file ("" disables), in the one binary v3 format for both
+  /// latency modes. Granularity is one shard: every shard completion
+  /// atomically rewrites the file (temp + rename) with all finished shards'
+  /// partial stats, and a later run with the same service, workload, and
+  /// options resumes from it — loaded shards are not re-simulated, and the
+  /// merged stats are bit-identical to an uninterrupted run. A checkpoint
+  /// whose fingerprint does not match the run, or a file in an older format
+  /// (text v1, binary v2), is ignored and the run starts over, never
+  /// misapplied.
   std::string checkpoint_path;
   /// Time source the per-shard event loops run on. kVirtual jumps between
   /// events (the classic instant replay); kSteady paces every event at its
@@ -92,9 +94,10 @@ struct FleetOptions {
   ClockKind clock = ClockKind::kVirtual;
   /// kSketch swaps the exact per-request latency streams for mergeable
   /// quantile sketches (relative error <= the sketch alpha, 0.1%): memory
-  /// per shard becomes O(1) and checkpoints switch to the compact binary v2
-  /// format — the billion-request mode. Incompatible with keep_records.
-  /// The default keeps today's exact accounting, bit for bit.
+  /// per shard becomes O(1) and checkpoint shard blocks carry sketch pages
+  /// instead of per-request streams (same binary v3 format) — the
+  /// billion-request mode. Incompatible with keep_records. The default
+  /// keeps today's exact accounting, bit for bit.
   LatencyMode latency_mode = LatencyMode::kExact;
   /// Multi-process sharding (simulate_fleet_stream only): this process owns
   /// the contiguous shard range [process_index*S/N, (process_index+1)*S/N)
@@ -134,11 +137,18 @@ struct ServeSpec {
   ElasticSpec elastic;
 };
 
-/// Folds the spec-level SLA bound and clock into the FleetOptions the event
-/// loops consume. Status::invalid_argument when `sla.p99_bound_us` and
-/// `fleet.sla_bound_us` are both set away from the default and disagree
-/// (state the bound once); likewise for `clock` vs `fleet.clock`.
-StatusOr<FleetOptions> resolved_fleet_options(const ServeSpec& spec);
+/// The one ServeSpec validator every serving entry point calls: folds the
+/// spec-level SLA bound and clock into the FleetOptions the shard loops
+/// consume and checks what all of them share — instances >= 1, shards in
+/// [1, instances], progress_tail_pct in (0, 100], the scenario and elastic
+/// specs, keep_records only in exact latency mode, and (when `service` is
+/// given) a service model with at least one branch. Status::invalid_argument
+/// on any violation, including `sla.p99_bound_us` and `fleet.sla_bound_us`
+/// both set away from the default and disagreeing (state the bound once);
+/// likewise for `clock` vs `fleet.clock`. Entry points add only their own
+/// checks on top (process range, trace input, socket).
+StatusOr<FleetOptions> resolved_fleet_options(
+    const ServeSpec& spec, const ServiceModel* service = nullptr);
 
 /// Simulates serving the request stream on `spec.fleet.instances` copies of
 /// the accelerator described by `service` (spec.workload is ignored by this

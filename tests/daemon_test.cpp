@@ -184,6 +184,76 @@ TEST(DaemonTest, ServeRequiresSteadyClockAndSocketPath) {
   }
 }
 
+// --------------------------------------------- one validator, one builder --
+// run_trace and serve() share simulate_fleet's spec validator and engine
+// builder, so a spec means the same thing on every entry point.
+TEST(DaemonTest, RunTraceOnASketchSpecMatchesSimulateFleet) {
+  const ServiceModel service = make_service({{2, 3000.0}, {2, 5000.0}});
+  const std::vector<Request> trace = make_trace(400);
+  for (int shards : {1, 2, 4}) {
+    ServeSpec spec;
+    spec.fleet.instances = 4;
+    spec.fleet.shards = shards;
+    spec.fleet.latency_mode = LatencyMode::kSketch;
+
+    auto reference = simulate_fleet(service, trace, spec);
+    ASSERT_TRUE(reference.is_ok());
+    const Daemon daemon(service, spec);
+    auto live = daemon.run_trace(trace);
+    ASSERT_TRUE(live.is_ok());
+    EXPECT_EQ(live->stats.latency_mode, LatencyMode::kSketch);
+    EXPECT_EQ(live->stats.latency_mode, reference->latency_mode);
+    EXPECT_EQ(serving_csv_row({}, live->stats),
+              serving_csv_row({}, *reference));
+  }
+}
+
+TEST(DaemonTest, OutOfRangeProgressTailIsInvalidArgumentNotACrash) {
+  const ServiceModel service = make_service({{1, 2000.0}, {1, 3000.0}});
+  ServeSpec spec;
+  spec.fleet.progress_tail_pct = 250;
+  auto trace_result = Daemon(service, spec).run_trace(make_trace(10));
+  ASSERT_FALSE(trace_result.is_ok());
+  EXPECT_EQ(trace_result.status().code(), StatusCode::kInvalidArgument);
+
+  spec.clock = ClockKind::kSteady;
+  DaemonOptions options;
+  options.socket_path = "/tmp/fcad_daemon_tail_pct_test.sock";
+  Daemon live(service, spec, options);
+  auto serve_result = live.serve();
+  ASSERT_FALSE(serve_result.is_ok());
+  EXPECT_EQ(serve_result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DaemonTest, RunTraceRejectsWhatSimulateFleetRejects) {
+  const ServiceModel service = make_service({{1, 2000.0}, {1, 3000.0}});
+  const std::vector<Request> trace = make_trace(10);
+  ServeSpec spec;
+  spec.fleet.latency_mode = LatencyMode::kSketch;
+  spec.fleet.keep_records = true;  // sketch mode keeps no per-request records
+  EXPECT_EQ(simulate_fleet(service, trace, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Daemon(service, spec).run_trace(trace).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DaemonTest, RunTraceRejectsCheckpointsAndProcessSharding) {
+  // Shed decisions are not checkpointed, so a resumed daemon replay could
+  // not be exact; the options are refused instead of silently ignored.
+  const ServiceModel service = make_service({{1, 2000.0}, {1, 3000.0}});
+  const std::vector<Request> trace = make_trace(10);
+  ServeSpec checkpointed;
+  checkpointed.fleet.checkpoint_path = "unused.ckpt";
+  auto resumable = Daemon(service, checkpointed).run_trace(trace);
+  EXPECT_EQ(resumable.status().code(), StatusCode::kInvalidArgument);
+  ServeSpec process_sharded;
+  process_sharded.fleet.instances = 2;
+  process_sharded.fleet.shards = 2;
+  process_sharded.fleet.process_count = 2;
+  auto sharded = Daemon(service, process_sharded).run_trace(trace);
+  EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------------------- live socket --
 /// Connects to the daemon's socket, retrying while it boots.
 int connect_with_retry(const std::string& path) {
@@ -324,6 +394,44 @@ TEST(DaemonTest, ServeRejectsMalformedAndOutOfRangeLines) {
 
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result->stats.completed, 1);  // only the well-formed request
+}
+
+TEST(DaemonTest, ServeOnASketchSpecKeepsSketchStats) {
+  // A long-running daemon bounds its latency memory with sketch mode.
+  const ServiceModel service = make_service({{2, 1000.0}});
+  const std::string socket_path = "/tmp/fcad_daemon_sketch_test.sock";
+
+  ServeSpec spec;
+  spec.clock = ClockKind::kSteady;
+  spec.fleet.instances = 2;
+  spec.fleet.batch_timeout_us = 500;
+  spec.fleet.latency_mode = LatencyMode::kSketch;
+
+  DaemonOptions options;
+  options.socket_path = socket_path;
+
+  Daemon daemon(service, spec, options);
+  StatusOr<DaemonResult> result = Status::internal("serve never ran");
+  std::thread server([&] { result = daemon.serve(); });
+
+  const int fd = connect_with_retry(socket_path);
+  ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
+  constexpr int kRequests = 8;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += "req " + std::to_string(i) + " 0\n";
+  }
+  ASSERT_TRUE(send_all(fd, burst));
+  ASSERT_EQ(read_lines(fd, kRequests).size(),
+            static_cast<std::size_t>(kRequests));
+  ASSERT_TRUE(send_all(fd, "shutdown\n"));
+  server.join();
+  ::close(fd);
+
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.latency_mode, LatencyMode::kSketch);
+  EXPECT_EQ(result->stats.completed, kRequests);
+  EXPECT_GT(result->stats.latency.p99, 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Streaming-replay suite (serving step 9): the lazy workload stream must
 // reproduce the materialized generators draw for draw, the streaming fleet
 // replay must match the materialized one bit for bit (and stay bounded in
-// sketch mode), and the binary v2 checkpoint + multi-process merge must be
-// strict about torn, stale, overlapping, or missing inputs.
+// sketch mode), and the binary v3 checkpoint + multi-process merge must be
+// strict about torn, stale, overlapping, or missing inputs in both latency
+// modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,44 +207,49 @@ TEST(StreamTest, SketchReplayTracksExactReplayWithinBound) {
 }
 
 TEST(StreamTest, ProcessShardedCheckpointsMergeToSingleProcessResult) {
-  const ServiceModel service = test_service();
-  ScratchFile p0("merge_p0.ckpt");
-  ScratchFile p1("merge_p1.ckpt");
-  ServeSpec spec;
-  spec.workload = stream_workload(30000, 13);
-  spec.fleet.instances = 4;
-  spec.fleet.shards = 4;
-  spec.fleet.latency_mode = LatencyMode::kSketch;
+  // Both latency modes share the one checkpoint format: sketch shards fold
+  // by sketch merge, exact shards concatenate their streams in shard order.
+  for (LatencyMode mode : {LatencyMode::kSketch, LatencyMode::kExact}) {
+    SCOPED_TRACE(to_string(mode));
+    const ServiceModel service = test_service();
+    ScratchFile p0("merge_p0.ckpt");
+    ScratchFile p1("merge_p1.ckpt");
+    ServeSpec spec;
+    spec.workload = stream_workload(30000, 13);
+    spec.fleet.instances = 4;
+    spec.fleet.shards = 4;
+    spec.fleet.latency_mode = mode;
 
-  ServeSpec single = spec;
-  auto want = simulate_fleet_stream(service, single);
-  ASSERT_TRUE(want.is_ok());
+    ServeSpec single = spec;
+    auto want = simulate_fleet_stream(service, single);
+    ASSERT_TRUE(want.is_ok());
 
-  spec.fleet.process_count = 2;
-  spec.fleet.process_index = 0;
-  spec.fleet.checkpoint_path = p0.path();
-  auto part0 = simulate_fleet_stream(service, spec);
-  ASSERT_TRUE(part0.is_ok());
-  spec.fleet.process_index = 1;
-  spec.fleet.checkpoint_path = p1.path();
-  auto part1 = simulate_fleet_stream(service, spec);
-  ASSERT_TRUE(part1.is_ok());
-  // Each process reports only its owned shards.
-  EXPECT_EQ(part0->offered + part1->offered, want->offered);
+    spec.fleet.process_count = 2;
+    spec.fleet.process_index = 0;
+    spec.fleet.checkpoint_path = p0.path();
+    auto part0 = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(part0.is_ok());
+    spec.fleet.process_index = 1;
+    spec.fleet.checkpoint_path = p1.path();
+    auto part1 = simulate_fleet_stream(service, spec);
+    ASSERT_TRUE(part1.is_ok());
+    // Each process reports only its owned shards.
+    EXPECT_EQ(part0->offered + part1->offered, want->offered);
 
-  ServeSpec merge_spec = single;
-  auto merged =
-      merge_replay_checkpoints(service, merge_spec, {p0.path(), p1.path()});
-  ASSERT_TRUE(merged.is_ok());
-  ServingStats expect = *want;
-  expect.resumed_shards = merged->resumed_shards;  // provenance, not results
-  EXPECT_EQ(stats_text(*merged), stats_text(expect));
+    ServeSpec merge_spec = single;
+    auto merged =
+        merge_replay_checkpoints(service, merge_spec, {p0.path(), p1.path()});
+    ASSERT_TRUE(merged.is_ok());
+    ServingStats expect = *want;
+    expect.resumed_shards = merged->resumed_shards;  // provenance, not results
+    EXPECT_EQ(stats_text(*merged), stats_text(expect));
 
-  // Merge order must not matter (sketch merges are associative).
-  auto merged_rev =
-      merge_replay_checkpoints(service, merge_spec, {p1.path(), p0.path()});
-  ASSERT_TRUE(merged_rev.is_ok());
-  EXPECT_EQ(stats_text(*merged_rev), stats_text(*merged));
+    // Merge order must not matter (shards fold in shard-index order).
+    auto merged_rev =
+        merge_replay_checkpoints(service, merge_spec, {p1.path(), p0.path()});
+    ASSERT_TRUE(merged_rev.is_ok());
+    EXPECT_EQ(stats_text(*merged_rev), stats_text(*merged));
+  }
 }
 
 TEST(StreamTest, MergeIsStrictAboutBadInputs) {
@@ -349,6 +355,79 @@ TEST(StreamTest, BinaryCheckpointResumesAndRejectsTamperedFiles) {
   ASSERT_TRUE(mismatched.is_ok());
   EXPECT_EQ(mismatched->resumed_shards, 0);
   EXPECT_EQ(stats_text(*mismatched), stats_text(want));
+}
+
+TEST(StreamTest, TruncatedExactCheckpointIsRejectedWhole) {
+  // Exact mode writes the same binary v3 format, carrying the per-request
+  // latency/wait streams: a truncated file must restart the resume and
+  // fail the merge, never be partially applied.
+  const ServiceModel service = test_service();
+  ScratchFile p0("exact_p0.ckpt");
+  ScratchFile p1("exact_p1.ckpt");
+  ScratchFile torn("exact_torn.ckpt");
+  ServeSpec spec;
+  spec.workload = stream_workload(8000, 19);
+  spec.fleet.instances = 4;
+  spec.fleet.shards = 4;
+  auto want = simulate_fleet_stream(service, spec);
+  ASSERT_TRUE(want.is_ok());
+
+  ServeSpec run = spec;
+  run.fleet.process_count = 2;
+  run.fleet.process_index = 0;
+  run.fleet.checkpoint_path = p0.path();
+  ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
+  run.fleet.process_index = 1;
+  run.fleet.checkpoint_path = p1.path();
+  ASSERT_TRUE(simulate_fleet_stream(service, run).is_ok());
+  {
+    std::ifstream in(p1.path(), std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string bytes = buf.str();
+    std::ofstream out(torn.path(), std::ios::binary);
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(bytes.size() * 2 / 3));
+  }
+  auto torn_merge =
+      merge_replay_checkpoints(service, spec, {p0.path(), torn.path()});
+  EXPECT_EQ(torn_merge.status().code(), StatusCode::kInvalidArgument);
+
+  ServeSpec resume = spec;
+  resume.fleet.checkpoint_path = torn.path();
+  auto restarted = simulate_fleet_stream(service, resume);
+  ASSERT_TRUE(restarted.is_ok());
+  EXPECT_EQ(restarted->resumed_shards, 0);
+  EXPECT_EQ(stats_text(*restarted), stats_text(*want));
+}
+
+TEST(StreamTest, OlderCheckpointFormatsRestartInsteadOfResuming) {
+  // Text v1 and binary v2 files predate the v3 format: the resume starts
+  // over and the merge refuses them, whatever their payload.
+  const ServiceModel service = test_service();
+  ScratchFile old_file("old_format.ckpt");
+  ServeSpec spec;
+  spec.workload = stream_workload(4000, 29);
+  spec.fleet.instances = 2;
+  spec.fleet.shards = 2;
+  auto want = simulate_fleet_stream(service, spec);
+  ASSERT_TRUE(want.is_ok());
+  const std::string v2_header("FCADFLT2\x02\0\0\0", 12);
+  for (const std::string& header :
+       {std::string("fcad-fleet-checkpoint v1\n"), v2_header}) {
+    {
+      std::ofstream out(old_file.path(), std::ios::binary | std::ios::trunc);
+      out << header;
+    }
+    ServeSpec resume = spec;
+    resume.fleet.checkpoint_path = old_file.path();
+    auto merged = merge_replay_checkpoints(service, spec, {old_file.path()});
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+    auto restarted = simulate_fleet_stream(service, resume);
+    ASSERT_TRUE(restarted.is_ok());
+    EXPECT_EQ(restarted->resumed_shards, 0);
+    EXPECT_EQ(stats_text(*restarted), stats_text(*want));
+  }
 }
 
 TEST(StreamTest, UnsortedTraceReplaysIdenticallyToSortedTrace) {
